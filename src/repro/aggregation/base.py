@@ -23,13 +23,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AggregationConfigError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
+from ..primitives.grouping import stable_key_order
 
 #: Canonical group-by phases.
 TRANSFORM, AGGREGATE, MATERIALIZE = "transform", "aggregate", "materialize"
@@ -149,6 +150,23 @@ def segmented_aggregate(
         reducer.at(out, inverse, values.astype(np.int64))
         return out
     raise AggregationConfigError(f"unsupported aggregate {op!r}")
+
+
+def merge_disjoint_groups(
+    parts: Sequence[Mapping[str, np.ndarray]],
+) -> "OrderedDict[str, np.ndarray]":
+    """Merge group-by outputs over disjoint key sets into one output.
+
+    The merge step shared by the out-of-core (per block) and sharded
+    (per device) group-bys: every group lives wholly in one part, so
+    the merged output is the concatenation in ascending ``group_key``
+    order.  Traffic is charged by the callers.
+    """
+    order = stable_key_order(np.concatenate([p["group_key"] for p in parts]))
+    return OrderedDict(
+        (column, np.concatenate([p[column] for p in parts])[order])
+        for column in parts[0]
+    )
 
 
 class GroupByAlgorithm(ABC):

@@ -17,7 +17,7 @@ same traffic arguments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Mapping
 
 from ..gpusim.device import A100, DeviceSpec
 from ..primitives.grouping import count_distinct
@@ -121,6 +121,39 @@ def recommend_groupby_algorithm(
         "(sorting would need ~4)"
     )
     return Recommendation("PART-AGG", reasons)
+
+
+def resolve_groupby_algorithm(
+    name: str,
+    keys: np.ndarray,
+    values: Mapping[str, np.ndarray],
+    device: DeviceSpec = A100,
+    zipf_factor: float = 0.0,
+) -> Recommendation:
+    """The one ``"auto"`` resolution for group-bys.
+
+    An explicit *name* passes through; ``"auto"`` estimates the group
+    cardinality of the (global) *keys* and asks
+    :func:`recommend_groupby_algorithm`.  Every execution path resolves
+    through here; ``zipf_factor`` is an optional optimizer hint.
+
+    >>> import numpy as np
+    >>> keys = np.arange(64, dtype=np.int32).repeat(4)
+    >>> resolve_groupby_algorithm("auto", keys, {"v": keys}).algorithm
+    'HASH-AGG'
+    >>> resolve_groupby_algorithm("SORT-AGG", keys, {}).algorithm
+    'SORT-AGG'
+    """
+    if name != "auto":
+        return Recommendation(name, ["requested explicitly"])
+    profile = GroupByWorkloadProfile(
+        rows=int(keys.size),
+        estimated_groups=estimate_group_cardinality(keys),
+        value_columns=len(values),
+        key_bytes=keys.dtype.itemsize,
+        zipf_factor=zipf_factor,
+    )
+    return recommend_groupby_algorithm(profile, device=device)
 
 
 def make_groupby_algorithm(name: str, config=None):

@@ -24,19 +24,10 @@ import numpy as np
 from .errors import ShardedExecutionWarning
 
 from .aggregation.base import AggSpec, GroupByConfig, GroupByResult
-from .aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from .aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from .gpusim.device import A100, DeviceSpec, get_device
 from .joins.base import JoinConfig, JoinResult
-from .joins.planner import (
-    JoinWorkloadProfile,
-    make_algorithm,
-    recommend_join_algorithm,
-)
+from .joins.planner import make_algorithm, resolve_join_algorithm
 from .relational.relation import Relation
 
 
@@ -170,14 +161,9 @@ def join(
             seed=seed,
             fault_plan=fault_plan,
         )
-    if algorithm == "auto":
-        profile = JoinWorkloadProfile.from_relations(
-            r,
-            s,
-            match_ratio=match_ratio if match_ratio is not None else 1.0,
-            zipf_factor=zipf_factor,
-        )
-        algorithm = recommend_join_algorithm(profile).algorithm
+    algorithm = resolve_join_algorithm(
+        algorithm, r, s, match_ratio=match_ratio, zipf_factor=zipf_factor
+    ).algorithm
     impl = make_algorithm(algorithm, config)
     return impl.join(r, s, device=spec, seed=seed)
 
@@ -262,14 +248,8 @@ def group_by(
             seed=seed,
             fault_plan=fault_plan,
         )
-    if algorithm == "auto":
-        profile = GroupByWorkloadProfile(
-            rows=int(keys.size),
-            estimated_groups=estimate_group_cardinality(keys),
-            value_columns=len(values),
-            key_bytes=keys.dtype.itemsize,
-            zipf_factor=zipf_factor,
-        )
-        algorithm = recommend_groupby_algorithm(profile, device=spec).algorithm
+    algorithm = resolve_groupby_algorithm(
+        algorithm, keys, values, device=spec, zipf_factor=zipf_factor
+    ).algorithm
     impl = make_groupby_algorithm(algorithm, config)
     return impl.group_by(keys, values, agg_specs, device=spec, seed=seed)

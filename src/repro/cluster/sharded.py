@@ -29,18 +29,12 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..aggregation.base import AggSpec, GroupByResult
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.base import AggSpec, GroupByResult, merge_disjoint_groups
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..joins.base import JoinConfig, JoinResult
-from ..joins.planner import JoinWorkloadProfile, make_algorithm, recommend_join_algorithm
-from ..primitives.grouping import stable_key_order
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..relational.relation import Relation
 from .context import ClusterContext
 from .shuffle import ShuffleResult, shard_to_relation, shuffle_columns, shuffle_relation
@@ -72,8 +66,35 @@ def _step_breakdown(cluster: ClusterContext) -> "OrderedDict[str, float]":
     return groups
 
 
+class _ClusterClock:
+    """The cluster-clock accessors both sharded results share."""
+
+    @property
+    def num_devices(self) -> int:
+        return self.cluster.num_devices
+
+    @property
+    def total_seconds(self) -> float:
+        return self.cluster.total_seconds
+
+    @property
+    def shuffle_seconds(self) -> float:
+        return self.cluster.step_seconds("shuffle")
+
+    def _describe(self, outcome: str) -> str:
+        parts = ", ".join(
+            f"{name}={seconds * 1e3:.3f}ms"
+            for name, seconds in self.step_seconds.items()
+        )
+        return (
+            f"{self.algorithm} x{self.num_devices} on "
+            f"{self.cluster.spec.describe()}: {outcome}, "
+            f"total={self.total_seconds * 1e3:.3f}ms ({parts})"
+        )
+
+
 @dataclass
-class ShardedJoinResult:
+class ShardedJoinResult(_ClusterClock):
     """Outcome of one sharded join execution.
 
     ``output`` is the logical concatenation of the per-device outputs in
@@ -94,18 +115,6 @@ class ShardedJoinResult:
     extras: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def num_devices(self) -> int:
-        return self.cluster.num_devices
-
-    @property
-    def total_seconds(self) -> float:
-        return self.cluster.total_seconds
-
-    @property
-    def shuffle_seconds(self) -> float:
-        return self.cluster.step_seconds("shuffle")
-
-    @property
     def throughput_tuples_per_s(self) -> float:
         """(|R| + |S|) / cluster time — the paper's throughput metric."""
         if self.total_seconds == 0:
@@ -113,26 +122,7 @@ class ShardedJoinResult:
         return (self.r_rows + self.s_rows) / self.total_seconds
 
     def describe(self) -> str:
-        parts = ", ".join(
-            f"{name}={seconds * 1e3:.3f}ms"
-            for name, seconds in self.step_seconds.items()
-        )
-        return (
-            f"{self.algorithm} x{self.num_devices} on "
-            f"{self.cluster.spec.describe()}: {self.matches} matches, "
-            f"total={self.total_seconds * 1e3:.3f}ms ({parts})"
-        )
-
-
-def _resolve_join_algorithm_name(
-    name: str, r: Relation, s: Relation
-) -> str:
-    """Resolve ``"auto"`` from the *global* relations, so every shard
-    runs the same algorithm the single-device planner would pick."""
-    if name != "auto":
-        return name
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return recommend_join_algorithm(profile).algorithm
+        return self._describe(f"{self.matches} matches")
 
 
 def sharded_join(
@@ -173,46 +163,41 @@ def sharded_join(
     cluster = _make_cluster(
         cluster, device, num_devices, interconnect, seed, fault_plan
     )
-    name = _resolve_join_algorithm_name(algorithm, r, s)
+    # Resolved from the *global* relations, so every shard runs the
+    # algorithm the single-device planner would pick.
+    name = resolve_join_algorithm(algorithm, r, s).algorithm
 
-    if cluster.num_devices == 1:
-        with cluster.compute_step("join") as step:
-            result = make_algorithm(name, config).join(r, s, ctx=step.contexts[0])
-        return ShardedJoinResult(
-            output=result.output,
-            algorithm=name,
-            cluster=cluster,
-            per_device=[result],
-            r_shuffle=None,
-            s_shuffle=None,
-            step_seconds=_step_breakdown(cluster),
-            matches=result.matches,
-            r_rows=r.num_rows,
-            s_rows=s.num_rows,
-        )
-
-    r_shuffle = shuffle_relation(cluster, r, label="R")
-    s_shuffle = shuffle_relation(cluster, s, label="S")
+    r_shuffle = s_shuffle = None
+    shards = [(r, s)]  # one device: no shuffle, the shard is the input
+    if cluster.num_devices > 1:
+        r_shuffle = shuffle_relation(cluster, r, label="R")
+        s_shuffle = shuffle_relation(cluster, s, label="S")
+        shards = [
+            (shard_to_relation(r_shuffle.shards[d], r, name=f"{r.name}@{d}"),
+             shard_to_relation(s_shuffle.shards[d], s, name=f"{s.name}@{d}"))
+            for d in range(cluster.num_devices)
+        ]
 
     per_device: List[JoinResult] = []
     with cluster.compute_step("join") as step:
-        for d in range(cluster.num_devices):
-            r_shard = shard_to_relation(r_shuffle.shards[d], r, name=f"{r.name}@{d}")
-            s_shard = shard_to_relation(s_shuffle.shards[d], s, name=f"{s.name}@{d}")
+        for d, (r_shard, s_shard) in enumerate(shards):
             per_device.append(
                 make_algorithm(name, config).join(
                     r_shard, s_shard, ctx=step.contexts[d]
                 )
             )
 
-    merged = Relation(
-        [
-            (column, np.concatenate([res.output.column(column) for res in per_device]))
-            for column in per_device[0].output.column_names
-        ],
-        key=per_device[0].output.key,
-        name=per_device[0].output.name,
-    )
+    merged = per_device[0].output
+    if len(per_device) > 1:
+        merged = Relation(
+            [
+                (column, np.concatenate([res.output.column(column)
+                                         for res in per_device]))
+                for column in merged.column_names
+            ],
+            key=merged.key,
+            name=merged.name,
+        )
     return ShardedJoinResult(
         output=merged,
         algorithm=name,
@@ -228,7 +213,7 @@ def sharded_join(
 
 
 @dataclass
-class ShardedGroupByResult:
+class ShardedGroupByResult(_ClusterClock):
     """Outcome of one sharded grouped aggregation."""
 
     output: "OrderedDict[str, np.ndarray]"
@@ -242,18 +227,6 @@ class ShardedGroupByResult:
     extras: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def num_devices(self) -> int:
-        return self.cluster.num_devices
-
-    @property
-    def total_seconds(self) -> float:
-        return self.cluster.total_seconds
-
-    @property
-    def shuffle_seconds(self) -> float:
-        return self.cluster.step_seconds("shuffle")
-
-    @property
     def throughput_tuples_per_s(self) -> float:
         if self.total_seconds == 0:
             return float("inf")
@@ -263,15 +236,7 @@ class ShardedGroupByResult:
         return self.output[name]
 
     def describe(self) -> str:
-        parts = ", ".join(
-            f"{name}={seconds * 1e3:.3f}ms"
-            for name, seconds in self.step_seconds.items()
-        )
-        return (
-            f"{self.algorithm} x{self.num_devices} on "
-            f"{self.cluster.spec.describe()}: {self.groups} groups from "
-            f"{self.rows} rows, total={self.total_seconds * 1e3:.3f}ms ({parts})"
-        )
+        return self._describe(f"{self.groups} groups from {self.rows} rows")
 
 
 def sharded_group_by(
@@ -308,84 +273,62 @@ def sharded_group_by(
         cluster, device, num_devices, interconnect, seed, fault_plan
     )
     keys = np.asarray(keys)
-    if algorithm == "auto":
-        profile = GroupByWorkloadProfile(
-            rows=int(keys.size),
-            estimated_groups=estimate_group_cardinality(keys),
-            value_columns=len(values),
-            key_bytes=keys.dtype.itemsize,
-        )
-        algorithm = recommend_groupby_algorithm(profile, device=cluster.device).algorithm
+    algorithm = resolve_groupby_algorithm(
+        algorithm, keys, values, device=cluster.device
+    ).algorithm
 
-    if cluster.num_devices == 1:
-        with cluster.compute_step("aggregate") as step:
-            result = make_groupby_algorithm(algorithm, config).group_by(
-                keys, values, list(aggregates), ctx=step.contexts[0]
-            )
-        return ShardedGroupByResult(
-            output=result.output,
-            algorithm=algorithm,
-            cluster=cluster,
-            per_device=[result],
-            shuffle=None,
-            step_seconds=_step_breakdown(cluster),
-            rows=int(keys.size),
-            groups=result.groups,
-        )
-
-    # Shuffle the key column together with every referenced value column.
-    key_column = "__group_key__"
-    while key_column in values:
-        key_column += "_"
-    columns = OrderedDict([(key_column, keys)])
-    columns.update(values)
-    ranges_n = cluster.num_devices
-    bounds = np.linspace(0, keys.size, ranges_n + 1).astype(np.int64)
-    local = [
-        {name: array[bounds[d]: bounds[d + 1]] for name, array in columns.items()}
-        for d in range(ranges_n)
-    ]
-    shuffle = shuffle_columns(cluster, local, key_column, label="keys")
+    shuffle = None
+    shards = [(keys, values)]  # one device: no shuffle, gather or merge
+    if cluster.num_devices > 1:
+        # Shuffle the key column together with every referenced value column.
+        key_column = "__group_key__"
+        while key_column in values:
+            key_column += "_"
+        columns = OrderedDict([(key_column, keys)])
+        columns.update(values)
+        ranges_n = cluster.num_devices
+        bounds = np.linspace(0, keys.size, ranges_n + 1).astype(np.int64)
+        local = [
+            {name: array[bounds[d]: bounds[d + 1]] for name, array in columns.items()}
+            for d in range(ranges_n)
+        ]
+        shuffle = shuffle_columns(cluster, local, key_column, label="keys")
+        shards = [
+            (shard[key_column], {name: shard[name] for name in values})
+            for shard in shuffle.shards
+        ]
 
     per_device: List[GroupByResult] = []
     with cluster.compute_step("aggregate") as step:
-        for d in range(cluster.num_devices):
-            shard = shuffle.shards[d]
+        for d, (shard_keys, shard_values) in enumerate(shards):
             per_device.append(
                 make_groupby_algorithm(algorithm, config).group_by(
-                    shard[key_column],
-                    {name: shard[name] for name in values},
-                    list(aggregates),
-                    ctx=step.contexts[d],
+                    shard_keys, shard_values, list(aggregates), ctx=step.contexts[d]
                 )
             )
 
-    # Gather the (small, disjoint) per-device outputs to device 0 ...
-    gather = np.zeros((cluster.num_devices, cluster.num_devices), dtype=np.int64)
-    for d, res in enumerate(per_device):
-        if d != 0:
-            gather[d, 0] = sum(int(a.nbytes) for a in res.output.values())
-    cluster.shuffle_step("gather", gather, label="result-gather")
+    merged = per_device[0].output
+    if len(per_device) > 1:
+        # Gather the (small, disjoint) per-device outputs to device 0 ...
+        gather = np.zeros((cluster.num_devices, cluster.num_devices), dtype=np.int64)
+        for d, res in enumerate(per_device):
+            if d != 0:
+                gather[d, 0] = sum(int(a.nbytes) for a in res.output.values())
+        cluster.shuffle_step("gather", gather, label="result-gather")
 
-    # ... and k-way merge them into ascending group-key order.
-    merged_keys = np.concatenate([res.output["group_key"] for res in per_device])
-    order = stable_key_order(merged_keys)
-    merged: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for column in per_device[0].output:
-        merged[column] = np.concatenate(
-            [res.output[column] for res in per_device]
-        )[order]
-    merged_bytes = sum(int(a.nbytes) for a in merged.values())
-    with cluster.compute_step("merge") as step:
-        step.contexts[0].submit(
-            KernelStats(
-                name="kway_merge",
-                items=int(merged_keys.size),
-                seq_read_bytes=merged_bytes,
-                seq_write_bytes=merged_bytes,
-            ),
-            phase="materialize",
-        )
+        # ... and k-way merge them into ascending group-key order.
+        merged = merge_disjoint_groups([res.output for res in per_device])
+        merged_bytes = sum(int(a.nbytes) for a in merged.values())
+        with cluster.compute_step("merge") as step:
+            step.contexts[0].submit(
+                KernelStats(
+                    name="kway_merge",
+                    items=int(merged["group_key"].size),
+                    seq_read_bytes=merged_bytes,
+                    seq_write_bytes=merged_bytes,
+                ),
+                phase="materialize",
+            )
 
     return ShardedGroupByResult(
         output=merged,
@@ -395,5 +338,5 @@ def sharded_group_by(
         shuffle=shuffle,
         step_seconds=_step_breakdown(cluster),
         rows=int(keys.size),
-        groups=int(merged_keys.size),
+        groups=int(merged["group_key"].size),
     )

@@ -69,7 +69,10 @@ class FaultPlan:
     All rates are per-event Bernoulli probabilities in ``[0, 1)``.
     The default plan injects nothing — every layer treats
     ``fault_plan=None`` and ``FaultPlan()`` identically on the happy
-    path.
+    path: at a fixed executor seed both give the same columns, row
+    order and simulated seconds.  At ``seed=None`` two runs may differ
+    in row order and seconds with *or* without a plan, because PHJ-UM's
+    bucket-chain partitioner breaks ties with the unseeded context RNG.
 
     Attributes
     ----------

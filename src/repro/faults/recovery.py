@@ -31,39 +31,31 @@ execution and surfaced through the ambient
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..aggregation.base import AggSpec, GroupByResult
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.base import AggSpec
+from ..aggregation.planner import make_groupby_algorithm, resolve_groupby_algorithm
 from ..errors import DeviceOutOfMemoryError, GracefulDegradationError
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
-from ..joins.planner import (
-    JoinWorkloadProfile,
-    make_algorithm,
-    recommend_join_algorithm,
-)
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..obs.session import current_session
 from ..relational.relation import Relation
 from .plan import FaultPlan
 
 
 @dataclass
-class ResilientJoinResult:
-    """A join outcome plus the recovery decisions that produced it.
+class _LadderResult:
+    """An operator outcome plus the recovery decisions that produced it.
 
-    ``result`` is the inner :class:`~repro.joins.base.JoinResult` (not
-    degraded) or :class:`~repro.joins.out_of_core.OutOfCoreResult`
-    (degraded); the wrapper re-exports the fields the executor and
-    bench read so callers can treat both uniformly.
+    ``result`` is the inner in-memory result (not degraded) or the
+    staged out-of-core result (degraded); the wrapper re-exports the
+    fields the executor and bench read so callers can treat both
+    uniformly.
     """
 
     result: object
@@ -73,46 +65,14 @@ class ResilientJoinResult:
     #: Simulated seconds spent on execution attempts that OOMed.
     wasted_seconds: float = 0.0
 
-    @property
-    def output(self) -> Relation:
-        return self.result.output
-
-    @property
-    def matches(self) -> int:
-        return self.result.matches
-
-    @property
-    def total_seconds(self) -> float:
-        return self.result.total_seconds + self.wasted_seconds
-
-    @property
-    def extras(self) -> Dict[str, float]:
-        extras: Dict[str, float] = {"degraded": float(self.degraded)}
-        if self.degraded:
-            extras["degraded_chunks"] = float(self.result.num_chunks)
-            extras["oom_wasted_s"] = self.wasted_seconds
-        return extras
-
-
-@dataclass
-class ResilientGroupByResult:
-    """A group-by outcome plus the recovery decisions that produced it."""
-
-    result: object
-    algorithm: str
-    degraded: bool
-    attempts: List[str] = field(default_factory=list)
-    wasted_seconds: float = 0.0
+    #: (extras key, attribute of a staged result) counting its passes.
+    _PASSES = ("", "")
 
     @property
     def output(self):
         return self.result.output
 
     @property
-    def groups(self) -> int:
-        return self.result.groups
-
-    @property
     def total_seconds(self) -> float:
         return self.result.total_seconds + self.wasted_seconds
 
@@ -120,11 +80,32 @@ class ResilientGroupByResult:
     def extras(self) -> Dict[str, float]:
         extras: Dict[str, float] = {"degraded": float(self.degraded)}
         if self.degraded:
-            blocks = getattr(self.result, "num_blocks", 0)
-            if blocks:
-                extras["degraded_blocks"] = float(blocks)
+            key, attribute = self._PASSES
+            passes = getattr(self.result, attribute, 0)
+            if passes:
+                extras[key] = float(passes)
             extras["oom_wasted_s"] = self.wasted_seconds
         return extras
+
+
+class ResilientJoinResult(_LadderResult):
+    """A join outcome plus the recovery decisions that produced it."""
+
+    _PASSES = ("degraded_chunks", "num_chunks")
+
+    @property
+    def matches(self) -> int:
+        return self.result.matches
+
+
+class ResilientGroupByResult(_LadderResult):
+    """A group-by outcome plus the recovery decisions that produced it."""
+
+    _PASSES = ("degraded_blocks", "num_blocks")
+
+    @property
+    def groups(self) -> int:
+        return self.result.groups
 
 
 def _note_oom(ctx: GPUContext, err: DeviceOutOfMemoryError, detail: str) -> None:
@@ -147,32 +128,8 @@ def _count_degradation(extra_passes: int) -> None:
 def _degraded_span(kind: str, **args):
     session = current_session()
     if session is None:
-        from contextlib import nullcontext
-
         return nullcontext()
     return session.span(f"degraded:{kind}", category="degraded", **args)
-
-
-def resolve_join_algorithm_name(name: str, r: Relation, s: Relation) -> str:
-    """Resolve ``"auto"`` exactly like the single-device planner."""
-    if name != "auto":
-        return name
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return recommend_join_algorithm(profile).algorithm
-
-
-def resolve_groupby_algorithm_name(
-    name: str, keys: np.ndarray, values: Dict[str, np.ndarray], device: DeviceSpec
-) -> str:
-    if name != "auto":
-        return name
-    profile = GroupByWorkloadProfile(
-        rows=int(keys.size),
-        estimated_groups=estimate_group_cardinality(keys),
-        value_columns=len(values),
-        key_bytes=keys.dtype.itemsize,
-    )
-    return recommend_groupby_algorithm(profile, device=device).algorithm
 
 
 def resilient_join(
@@ -195,7 +152,7 @@ def resilient_join(
     """
     from ..joins.out_of_core import OutOfCoreJoin
 
-    name = resolve_join_algorithm_name(algorithm, r, s)
+    name = resolve_join_algorithm(algorithm, r, s).algorithm
     attempts: List[str] = []
     wasted = 0.0
 
@@ -257,7 +214,7 @@ def resilient_group_by(
     from ..aggregation.out_of_core import OutOfCoreGroupBy
 
     keys = np.asarray(keys)
-    name = resolve_groupby_algorithm_name(algorithm, keys, values, device)
+    name = resolve_groupby_algorithm(algorithm, keys, values, device).algorithm
     attempts: List[str] = []
     wasted = 0.0
     budget: Optional[int] = None
@@ -267,21 +224,16 @@ def resilient_group_by(
         ctx = GPUContext(
             device=device, seed=seed, fault_plan=fault_plan, fault_site="gpu"
         )
+        span = nullcontext() if rung == 0 else _degraded_span(
+            "group-by", algorithm=strategy, budget_bytes=int(budget or 0),
+            reason="oom",
+        )
         try:
-            if rung == 0:
+            with span:
                 result = make_groupby_algorithm(strategy, config).group_by(
                     keys, values, list(aggregates), ctx=ctx
                 )
-            else:
-                with _degraded_span(
-                    "group-by",
-                    algorithm=strategy,
-                    budget_bytes=int(budget or 0),
-                    reason="oom",
-                ):
-                    result = make_groupby_algorithm(strategy, config).group_by(
-                        keys, values, list(aggregates), ctx=ctx
-                    )
+            if rung > 0:
                 _count_degradation(extra_passes=1)
             return ResilientGroupByResult(
                 result=result,

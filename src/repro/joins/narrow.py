@@ -98,8 +98,10 @@ def narrow_sort_merge(
         r_pos, s_pos = expand_bounds(lo, hi)
         columns = _emit_output(
             ctx, r, s,
-            rk.data, rp.data if rp else None,
-            sk.data, sp.data if sp else None,
+            # ``is not None``, not truthiness: an empty side's payload
+            # handle has len() 0 but its column must still be emitted.
+            rk.data, rp.data if rp is not None else None,
+            sk.data, sp.data if sp is not None else None,
             r_pos, s_pos,
         )
         for handle in (rk, rp, sk, sp):

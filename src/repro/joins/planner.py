@@ -200,6 +200,40 @@ def make_algorithm(name: str, config=None):
         ) from None
 
 
+def resolve_join_algorithm(
+    name: str,
+    r: Relation,
+    s: Relation,
+    match_ratio: Optional[float] = None,
+    zipf_factor: float = 0.0,
+) -> Recommendation:
+    """The one ``"auto"`` resolution for joins.
+
+    An explicit *name* passes through; ``"auto"`` profiles the (global)
+    relations and asks the Figure 18a tree.  Every execution path
+    (single device, recovery ladder, shards, fused pipelines, the
+    top-level API) resolves through here, so they all pick the same
+    algorithm for the same inputs.  ``match_ratio`` / ``zipf_factor``
+    are optional optimizer hints (default: all keys match, uniform).
+
+    >>> import numpy as np
+    >>> r = Relation.from_key_payloads(
+    ...     np.arange(64, dtype=np.int32),
+    ...     [np.arange(64, dtype=np.int32)], payload_prefix="r")
+    >>> resolve_join_algorithm("auto", r, r).algorithm
+    'PHJ-UM'
+    >>> resolve_join_algorithm("SMJ-OM", r, r).algorithm
+    'SMJ-OM'
+    """
+    if name != "auto":
+        return Recommendation(name, ["requested explicitly"])
+    profile = JoinWorkloadProfile.from_relations(
+        r, s, match_ratio=match_ratio if match_ratio is not None else 1.0,
+        zipf_factor=zipf_factor,
+    )
+    return recommend_join_algorithm(profile)
+
+
 def planner_choice(
     r: Relation,
     s: Relation,
@@ -219,9 +253,5 @@ def planner_choice(
     >>> impl.name == recommendation.algorithm == 'PHJ-UM'
     True
     """
-    profile = JoinWorkloadProfile.from_relations(
-        r, s, match_ratio=match_ratio if match_ratio is not None else 1.0,
-        zipf_factor=zipf_factor,
-    )
-    recommendation = recommend_join_algorithm(profile)
+    recommendation = resolve_join_algorithm("auto", r, s, match_ratio, zipf_factor)
     return make_algorithm(recommendation.algorithm), recommendation

@@ -8,33 +8,37 @@ accumulating simulated operator costs into a trace.  Optimizations:
 
 Both fire automatically; ``execute(..., optimize=False)`` runs the plan
 literally for comparison (the delta is exactly ext02's measurement).
+
+Every Join and Aggregate runs on one execution backend, chosen once when
+the :class:`QueryExecutor` is built: :class:`ShardedBackend` for
+``shards > 1``, :class:`TieredBackend` for ``tiering=``, otherwise
+:class:`SingleDeviceBackend`.  Fusion applies only on the single-device
+backend.
 """
 
 from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
-from ..aggregation.planner import (
-    GroupByWorkloadProfile,
-    estimate_group_cardinality,
-    make_groupby_algorithm,
-    recommend_groupby_algorithm,
-)
+from ..aggregation.planner import make_groupby_algorithm
 from ..cancel import current_token
+from ..cluster.sharded import sharded_group_by, sharded_join
 from ..errors import (
     DeviceOutOfMemoryError,
     JoinConfigError,
     ShardedExecutionWarning,
 )
+from ..faults.recovery import resilient_group_by, resilient_join
 from ..obs.session import TraceSession, current_session
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..joins.base import JoinConfig
 from ..joins.fused import FusedJoinAggregate
-from ..joins.planner import JoinWorkloadProfile, make_algorithm, recommend_join_algorithm
+from ..joins.planner import make_algorithm, resolve_join_algorithm
 from ..relational.relation import Relation
 from .plan import (
     Aggregate,
@@ -45,27 +49,191 @@ from .plan import (
     QueryResult,
     Scan,
     aggregate_input_columns,
+    operator_trace,
     validate_plan,
 )
 
 
-def _resolve_join_algorithm(name: str, r: Relation, s: Relation, config: JoinConfig):
-    if name != "auto":
-        return make_algorithm(name, config)
-    profile = JoinWorkloadProfile.from_relations(r, s)
-    return make_algorithm(recommend_join_algorithm(profile).algorithm, config)
+def _group_inputs(node: Aggregate, child: Relation):
+    """The key column and the value columns an Aggregate folds."""
+    keys = child.column(node.group_column)
+    values = {
+        spec.column: child.column(spec.column)
+        for spec in node.aggregates
+        if spec.op != "count"
+    }
+    return keys, values
 
 
-def _resolve_groupby_algorithm(name: str, keys, device: DeviceSpec):
-    if name != "auto":
-        return make_groupby_algorithm(name)
-    profile = GroupByWorkloadProfile(
-        rows=int(keys.size), estimated_groups=estimate_group_cardinality(keys)
-    )
-    return make_groupby_algorithm(
-        recommend_groupby_algorithm(profile, device=device).algorithm
-    )
+def _ladder_extras(result) -> Dict[str, float]:
+    """Phase seconds of the rung that ran, plus the ladder's decisions."""
+    return dict(getattr(result.result, "phase_seconds", {}), **result.extras)
 
+
+# -- execution backends --------------------------------------------------------
+#
+# Chosen once per executor.  Each runs one Join or Aggregate operator and
+# returns ``(output, OperatorTrace)``; ``fuses`` says whether the
+# executor may fold an Aggregate-over-Join into one fused pipeline.
+
+
+class SingleDeviceBackend:
+    """Every operator on one simulated device, on its recovery ladder.
+
+    With ``fault_plan=None`` no capacity is enforced, so the ladder's
+    first rung cannot fail and is exactly the algorithm's own run (same
+    context, kernels, RNG stream and rows): there is no separate plain
+    path.  ``join_output_hook`` fires for fault-free, unprojected joins.
+    """
+
+    fuses = True
+
+    def __init__(self, device: DeviceSpec, seed, fault_plan, join_output_hook):
+        self.device = device
+        self.seed = seed
+        self.fault_plan = fault_plan
+        self.join_output_hook = join_output_hook if fault_plan is None else None
+
+    def join(self, node: Join, left: Relation, right: Relation, config: JoinConfig):
+        result = resilient_join(
+            left, right, algorithm=node.algorithm, device=self.device,
+            config=config, seed=self.seed, fault_plan=self.fault_plan,
+        )
+        if self.join_output_hook is not None and config.projection is None:
+            self.join_output_hook(node, result.output)
+        return result.output, operator_trace(
+            "Join", result.algorithm, result.total_seconds, result.matches,
+            _ladder_extras(result),
+        )
+
+    def aggregate(self, node: Aggregate, child: Relation):
+        keys, values = _group_inputs(node, child)
+        result = resilient_group_by(
+            keys, values, list(node.aggregates), algorithm=node.algorithm,
+            device=self.device, seed=self.seed, fault_plan=self.fault_plan,
+        )
+        return result.output, operator_trace(
+            "Aggregate", result.algorithm, result.total_seconds, result.groups,
+            _ladder_extras(result),
+        )
+
+    def fused_aggregate(
+        self, node: Aggregate, left: Relation, right: Relation, config: JoinConfig
+    ):
+        """Aggregate-over-Join folded during the join's materialization.
+
+        Raises :class:`~repro.errors.DeviceOutOfMemoryError` under the
+        fault plan's memory pressure (see :meth:`unfused_aggregate`).
+        """
+        join_algorithm = make_algorithm(
+            resolve_join_algorithm(node.child.algorithm, left, right).algorithm,
+            config,
+        )
+        groupby_algorithm = None
+        if node.algorithm != "auto":
+            groupby_algorithm = make_groupby_algorithm(node.algorithm)
+        result = FusedJoinAggregate(join_algorithm, groupby_algorithm).run(
+            left, right, group_column=node.group_column,
+            aggregates=list(node.aggregates), device=self.device,
+            seed=self.seed, fuse=True, fault_plan=self.fault_plan,
+        )
+        joined = result.join_result.algorithm
+        grouped = result.groupby_result.algorithm
+        return result.output, operator_trace(
+            "FusedJoinAggregate", f"{joined}+{grouped}", result.total_seconds,
+            result.groupby_result.groups,
+            {"fusion_credit_s": result.fusion_credit_seconds},
+            label=f"{joined} + {grouped}",
+        )
+
+    def unfused_aggregate(
+        self, node: Aggregate, left: Relation, right: Relation, config: JoinConfig
+    ):
+        """The fused pipeline's OOM fallback: each stage recovers on its
+        own ladder (identical rows, fusion credit forfeited)."""
+        joined, join_op = self.join(
+            node.child, left, right,
+            replace(config, projection=aggregate_input_columns(node)),
+        )
+        output, agg_op = self.aggregate(node, joined)
+        return output, operator_trace(
+            "JoinAggregate", f"{join_op.algorithm}+{agg_op.algorithm}",
+            join_op.seconds + agg_op.seconds, agg_op.rows,
+            {"degraded": 1.0, "join_s": join_op.seconds, "aggregate_s": agg_op.seconds},
+            label=f"degraded {join_op.algorithm} + {agg_op.algorithm}",
+        )
+
+
+class ShardedBackend:
+    """Every operator shuffled across a simulated N-device cluster
+    (:mod:`repro.cluster`); the cost is the cluster clock."""
+
+    fuses = False
+
+    def __init__(self, device: DeviceSpec, seed, shards: int, interconnect):
+        self.device = device
+        self.seed = seed
+        self.shards = shards
+        self.interconnect = interconnect
+
+    def join(self, node: Join, left: Relation, right: Relation, config: JoinConfig):
+        result = sharded_join(
+            left, right, algorithm=node.algorithm, device=self.device,
+            num_devices=self.shards, interconnect=self.interconnect,
+            config=config, seed=self.seed,
+        )
+        return result.output, operator_trace(
+            "Join", result.algorithm, result.total_seconds, result.matches,
+            result.step_seconds, label=f"{result.algorithm} x{self.shards}",
+        )
+
+    def aggregate(self, node: Aggregate, child: Relation):
+        keys, values = _group_inputs(node, child)
+        result = sharded_group_by(
+            keys, values, list(node.aggregates), algorithm=node.algorithm,
+            device=self.device, num_devices=self.shards,
+            interconnect=self.interconnect, seed=self.seed,
+        )
+        return result.output, operator_trace(
+            "Aggregate", result.algorithm, result.total_seconds, result.groups,
+            result.step_seconds, label=f"{result.algorithm} x{self.shards}",
+        )
+
+
+class TieredBackend:
+    """Joins over two base-relation scans and aggregates over one, split
+    across a :class:`~repro.tier.TieredRuntime`'s GPU/CPU tiers; every
+    other operator runs on the single-device *fallback*."""
+
+    fuses = False
+
+    def __init__(self, runtime, fallback: SingleDeviceBackend):
+        self.runtime = runtime
+        self.fallback = fallback
+
+    def join(self, node: Join, left: Relation, right: Relation, config: JoinConfig):
+        if (
+            config.projection is None
+            and isinstance(node.left, Scan)
+            and isinstance(node.right, Scan)
+        ):
+            ran = self.runtime.run_join(
+                left, right, config=config,
+                fault_plan=self.fallback.fault_plan, seed=self.fallback.seed,
+            )
+            if ran is not None:
+                return ran
+        return self.fallback.join(node, left, right, config)
+
+    def aggregate(self, node: Aggregate, child: Relation):
+        if isinstance(node.child, Scan):
+            ran = self.runtime.run_group_by(
+                child, node,
+                fault_plan=self.fallback.fault_plan, seed=self.fallback.seed,
+            )
+            if ran is not None:
+                return ran
+        return self.fallback.aggregate(node, child)
 
 class QueryExecutor:
     """Executes logical plans on a simulated device or device cluster.
@@ -85,7 +253,8 @@ class QueryExecutor:
     degrades the operator to its partitioned/out-of-core variant instead
     of raising, recording ``degraded=`` in the operator trace.  OOM
     pressure (``capacity_frac``) is a single-device mechanism and
-    conflicts with ``shards > 1``.
+    conflicts with ``shards > 1``; the sharded backend does not forward
+    the plan, so sharded operators run fault-free.
 
     ``tiering=`` attaches a :class:`~repro.tier.TieredRuntime`: joins
     over two base-relation scans and aggregates over one base-relation
@@ -138,18 +307,23 @@ class QueryExecutor:
         self.shards = shards
         self.interconnect = interconnect
         self.fault_plan = fault_plan
-        # Called with (join_node, output_relation) after each plain
-        # (single-device, fault-free, unprojected) join materializes; the
-        # serving layer caches these intermediates as sub-results.  Only
-        # that path fires the hook: sharded/faulted runs may permute row
-        # order and pushed-down projections change the output schema.
         self.join_output_hook = join_output_hook
+        self.tiering = tiering
         # ``enable_fusion=False`` runs Aggregate-over-Join unfused even
         # on one device (bit-identical output, fusion credit forfeited).
         # The serving layer's brownout controller uses it to shed the
         # fused pipeline's peak-memory footprint under pressure.
         self.enable_fusion = enable_fusion
-        self.tiering = tiering
+        # ``join_output_hook(join_node, output)`` fires after each
+        # single-device, fault-free, unprojected join; the serving layer
+        # caches these intermediates as sub-results.
+        self._single = SingleDeviceBackend(device, seed, fault_plan, join_output_hook)
+        if shards > 1:
+            self._backend = ShardedBackend(device, seed, shards, interconnect)
+        elif tiering is not None:
+            self._backend = TieredBackend(tiering, self._single)
+        else:
+            self._backend = self._single
         self._session: Optional[TraceSession] = None
 
     def execute(
@@ -185,6 +359,20 @@ class QueryExecutor:
             with self._session.span(name, category="operator", **args) as event:
                 yield event
 
+    def _record(
+        self, name: str, trace: List[OperatorTrace], run, suffix: str = "", **args
+    ):
+        """Run one operator under span *name*, then rename the span after
+        (and append) the :class:`OperatorTrace` that *run* returns."""
+        with self._operator_span(name, **args) as span:
+            output, op = run()
+        op.description += suffix
+        if span is not None:
+            span.name = op.description
+            span.args.update(rows=op.rows, algorithm=op.algorithm, **op.extras)
+        trace.append(op)
+        return output
+
     # -- node dispatch -------------------------------------------------------
 
     def _run(self, node: PlanNode, trace: List[OperatorTrace], optimize: bool):
@@ -210,15 +398,16 @@ class QueryExecutor:
         if isinstance(node, Join):
             return self._run_join(node, trace, optimize, projection=None)
         if isinstance(node, Aggregate):
-            # Join-aggregate fusion folds during materialization on one
-            # device; a sharded aggregate instead re-shuffles the join
-            # output on the group column, so fusion does not apply.
+            # The one fusion rule.  Join-aggregate fusion folds during
+            # materialization on one device; a sharded aggregate instead
+            # re-shuffles the join output on the group column, and a
+            # tiered one splits by segment residency, so fusion does
+            # not apply to those backends.
             if (
                 optimize
                 and isinstance(node.child, Join)
-                and self.shards == 1
+                and self._backend.fuses
                 and self.enable_fusion
-                and self.tiering is None
             ):
                 return self._run_fused_aggregate(node, trace, optimize)
             if optimize and isinstance(node.child, Join) and self.shards > 1:
@@ -232,7 +421,9 @@ class QueryExecutor:
                     stacklevel=2,
                 )
             child = self._run(node.child, trace, optimize)
-            return self._run_aggregate(node, child, trace)
+            return self._record(
+                node.describe(), trace, lambda: self._backend.aggregate(node, child)
+            )
         raise JoinConfigError(f"unknown plan node {type(node).__name__}")
 
     # -- operators ----------------------------------------------------------
@@ -272,386 +463,38 @@ class QueryExecutor:
     ) -> Relation:
         left = self._run(node.left, trace, optimize)
         right = self._run(node.right, trace, optimize)
-        config = self.config
+        config, suffix = self.config, ""
         if projection is not None:
-            from dataclasses import replace
-
             config = replace(config, projection=tuple(projection))
-        if (
-            self.tiering is not None
-            and projection is None
-            and isinstance(node.left, Scan)
-            and isinstance(node.right, Scan)
-            and self.tiering.handles(left)
-            and self.tiering.handles(right)
-        ):
-            with self._operator_span(node.describe()) as span:
-                result = self.tiering.run_join(
-                    left,
-                    right,
-                    config=config,
-                    session=self._session,
-                    fault_plan=self.fault_plan,
-                    seed=self.seed,
-                )
-            if result is not None:
-                description = (
-                    f"Join[TIER hot:{result.hot_segments}"
-                    f"/cold:{result.cold_segments}]"
-                )
-                if span is not None:
-                    span.name = description
-                    span.args.update(
-                        rows=result.rows,
-                        algorithm=result.algorithm,
-                        hot_segments=result.hot_segments,
-                        cold_segments=result.cold_segments,
-                    )
-                trace.append(
-                    OperatorTrace(
-                        description,
-                        result.seconds,
-                        result.rows,
-                        extras=dict(result.extras),
-                        algorithm=result.algorithm,
-                    )
-                )
-                return result.output
-        if self.shards > 1:
-            from ..cluster.sharded import sharded_join
-
-            with self._operator_span(node.describe()) as span:
-                result = sharded_join(
-                    left,
-                    right,
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    num_devices=self.shards,
-                    interconnect=self.interconnect,
-                    config=config,
-                    seed=self.seed,
-                )
-            description = f"Join[{result.algorithm} x{self.shards}]"
-            if projection is not None:
-                description += f" <- pushed {pushed_from}"
-            if span is not None:
-                span.name = description
-                span.args.update(
-                    rows=result.matches,
-                    algorithm=result.algorithm,
-                    shards=self.shards,
-                )
-            trace.append(
-                OperatorTrace(
-                    description,
-                    result.total_seconds,
-                    result.matches,
-                    extras=dict(result.step_seconds),
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        if self.fault_plan is not None:
-            from ..faults.recovery import resilient_join
-
-            with self._operator_span(node.describe()) as span:
-                result = resilient_join(
-                    left,
-                    right,
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    config=config,
-                    seed=self.seed,
-                    fault_plan=self.fault_plan,
-                )
-            description = f"Join[{result.algorithm}]"
-            if projection is not None:
-                description += f" <- pushed {pushed_from}"
-            if span is not None:
-                span.name = description
-                span.args.update(
-                    rows=result.matches,
-                    algorithm=result.algorithm,
-                    degraded=result.degraded,
-                )
-            trace.append(
-                OperatorTrace(
-                    description,
-                    result.total_seconds,
-                    result.matches,
-                    extras=result.extras,
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        algorithm = _resolve_join_algorithm(node.algorithm, left, right, config)
-        with self._operator_span(node.describe()) as span:
-            result = algorithm.join(left, right, device=self.device, seed=self.seed)
-        description = f"Join[{result.algorithm}]"
-        if projection is not None:
-            description += f" <- pushed {pushed_from}"
-        if span is not None:
-            span.name = description
-            span.args.update(rows=result.matches, algorithm=result.algorithm)
-        trace.append(
-            OperatorTrace(
-                description,
-                result.total_seconds,
-                result.matches,
-                extras=dict(result.phase_seconds),
-                algorithm=result.algorithm,
-            )
+            suffix = f" <- pushed {pushed_from}"
+        return self._record(
+            node.describe(), trace,
+            lambda: self._backend.join(node, left, right, config), suffix,
         )
-        if self.join_output_hook is not None and projection is None:
-            self.join_output_hook(node, result.output)
-        return result.output
-
-    def _run_aggregate(
-        self, node: Aggregate, child: Relation, trace: List[OperatorTrace]
-    ):
-        if (
-            self.tiering is not None
-            and isinstance(node.child, Scan)
-            and self.tiering.handles(child)
-        ):
-            with self._operator_span(node.describe()) as span:
-                result = self.tiering.run_group_by(
-                    child,
-                    node.group_column,
-                    list(node.aggregates),
-                    session=self._session,
-                    fault_plan=self.fault_plan,
-                    seed=self.seed,
-                )
-            if result is not None:
-                description = (
-                    f"Aggregate[TIER hot:{result.hot_segments}"
-                    f"/cold:{result.cold_segments}]"
-                )
-                if span is not None:
-                    span.name = description
-                    span.args.update(
-                        rows=result.rows,
-                        algorithm=result.algorithm,
-                        hot_segments=result.hot_segments,
-                        cold_segments=result.cold_segments,
-                    )
-                trace.append(
-                    OperatorTrace(
-                        description,
-                        result.seconds,
-                        result.rows,
-                        extras=dict(result.extras),
-                        algorithm=result.algorithm,
-                    )
-                )
-                return result.output
-        keys = child.column(node.group_column)
-        values = {
-            spec.column: child.column(spec.column)
-            for spec in node.aggregates
-            if spec.op != "count"
-        }
-        if self.shards > 1:
-            from ..cluster.sharded import sharded_group_by
-
-            with self._operator_span(node.describe()) as span:
-                result = sharded_group_by(
-                    keys,
-                    values,
-                    list(node.aggregates),
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    num_devices=self.shards,
-                    interconnect=self.interconnect,
-                    seed=self.seed,
-                )
-            if span is not None:
-                span.name = f"Aggregate[{result.algorithm} x{self.shards}]"
-                span.args.update(
-                    rows=result.groups,
-                    algorithm=result.algorithm,
-                    shards=self.shards,
-                )
-            trace.append(
-                OperatorTrace(
-                    f"Aggregate[{result.algorithm} x{self.shards}]",
-                    result.total_seconds,
-                    result.groups,
-                    extras=dict(result.step_seconds),
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        if self.fault_plan is not None:
-            from ..faults.recovery import resilient_group_by
-
-            with self._operator_span(node.describe()) as span:
-                result = resilient_group_by(
-                    keys,
-                    values,
-                    list(node.aggregates),
-                    algorithm=node.algorithm,
-                    device=self.device,
-                    seed=self.seed,
-                    fault_plan=self.fault_plan,
-                )
-            if span is not None:
-                span.name = f"Aggregate[{result.algorithm}]"
-                span.args.update(
-                    rows=result.groups,
-                    algorithm=result.algorithm,
-                    degraded=result.degraded,
-                )
-            trace.append(
-                OperatorTrace(
-                    f"Aggregate[{result.algorithm}]",
-                    result.total_seconds,
-                    result.groups,
-                    extras=result.extras,
-                    algorithm=result.algorithm,
-                )
-            )
-            return result.output
-        algorithm = _resolve_groupby_algorithm(node.algorithm, keys, self.device)
-        with self._operator_span(node.describe()) as span:
-            result = algorithm.group_by(
-                keys, values, list(node.aggregates), device=self.device, seed=self.seed
-            )
-        if span is not None:
-            span.name = f"Aggregate[{result.algorithm}]"
-            span.args.update(rows=result.groups, algorithm=result.algorithm)
-        trace.append(
-            OperatorTrace(
-                f"Aggregate[{result.algorithm}]",
-                result.total_seconds,
-                result.groups,
-                extras=dict(result.phase_seconds),
-                algorithm=result.algorithm,
-            )
-        )
-        return result.output
 
     def _run_fused_aggregate(
         self, node: Aggregate, trace: List[OperatorTrace], optimize: bool
     ):
-        join_node = node.child
-        left = self._run(join_node.left, trace, optimize)
-        right = self._run(join_node.right, trace, optimize)
-        join_algorithm = _resolve_join_algorithm(
-            join_node.algorithm, left, right, self.config
-        )
-        groupby_algorithm = None
-        if node.algorithm != "auto":
-            groupby_algorithm = make_groupby_algorithm(node.algorithm)
-        pipeline = FusedJoinAggregate(join_algorithm, groupby_algorithm)
+        left = self._run(node.child.left, trace, optimize)
+        right = self._run(node.child.right, trace, optimize)
         try:
-            with self._operator_span("FusedJoinAggregate") as span:
-                result = pipeline.run(
-                    left,
-                    right,
-                    group_column=node.group_column,
-                    aggregates=list(node.aggregates),
-                    device=self.device,
-                    seed=self.seed,
-                    fuse=True,
-                    fault_plan=self.fault_plan,
-                )
+            return self._record(
+                "FusedJoinAggregate", trace,
+                lambda: self._single.fused_aggregate(node, left, right, self.config),
+            )
         except DeviceOutOfMemoryError:
             # Fusion needs the whole join+fold pipeline resident at once;
             # under memory pressure, unfuse and recover each stage on its
             # own degradation ladder (identical rows, credit forfeited).
-            return self._degrade_fused_aggregate(node, left, right, trace)
-        description = (
-            f"FusedJoinAggregate[{result.join_result.algorithm} + "
-            f"{result.groupby_result.algorithm}]"
-        )
-        if span is not None:
-            span.name = description
-            span.args.update(
-                rows=result.groupby_result.groups,
-                fusion_credit_s=result.fusion_credit_seconds,
+            session = current_session()
+            if session is not None:
+                session.count("faults_injected_oom")
+                session.count("degraded_operators")
+            return self._record(
+                "FusedJoinAggregate(degraded)", trace,
+                lambda: self._single.unfused_aggregate(node, left, right, self.config),
+                degraded=True,
             )
-        trace.append(
-            OperatorTrace(
-                description,
-                result.total_seconds,
-                result.groupby_result.groups,
-                extras={"fusion_credit_s": result.fusion_credit_seconds},
-                algorithm=(
-                    f"{result.join_result.algorithm}"
-                    f"+{result.groupby_result.algorithm}"
-                ),
-            )
-        )
-        return result.output
-
-    def _degrade_fused_aggregate(
-        self, node: Aggregate, left: Relation, right: Relation,
-        trace: List[OperatorTrace],
-    ):
-        """Unfuse an OOMed fused pipeline and recover stage by stage."""
-        from dataclasses import replace
-
-        from ..faults.recovery import resilient_group_by, resilient_join
-
-        if self._session is not None:
-            self._session.count("faults_injected_oom")
-            self._session.count("degraded_operators")
-        needed = [node.group_column] + [
-            spec.column
-            for spec in node.aggregates
-            if spec.op != "count" and spec.column != node.group_column
-        ]
-        config = replace(self.config, projection=tuple(dict.fromkeys(needed)))
-        with self._operator_span(
-            "FusedJoinAggregate(degraded)", degraded=True
-        ) as span:
-            join_res = resilient_join(
-                left,
-                right,
-                algorithm=node.child.algorithm,
-                device=self.device,
-                config=config,
-                seed=self.seed,
-                fault_plan=self.fault_plan,
-            )
-            joined = join_res.output
-            keys = joined.column(node.group_column)
-            values = {
-                spec.column: joined.column(spec.column)
-                for spec in node.aggregates
-                if spec.op != "count"
-            }
-            agg_res = resilient_group_by(
-                keys,
-                values,
-                list(node.aggregates),
-                algorithm=node.algorithm,
-                device=self.device,
-                seed=self.seed,
-                fault_plan=self.fault_plan,
-            )
-        description = (
-            f"JoinAggregate[degraded {join_res.algorithm} + {agg_res.algorithm}]"
-        )
-        if span is not None:
-            span.name = description
-            span.args.update(rows=agg_res.groups, degraded=True)
-        trace.append(
-            OperatorTrace(
-                description,
-                join_res.total_seconds + agg_res.total_seconds,
-                agg_res.groups,
-                extras={
-                    "degraded": 1.0,
-                    "join_s": join_res.total_seconds,
-                    "aggregate_s": agg_res.total_seconds,
-                },
-                algorithm=f"{join_res.algorithm}+{agg_res.algorithm}",
-            )
-        )
-        return agg_res.output
 
 
 def execute(

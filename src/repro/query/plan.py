@@ -95,6 +95,21 @@ class OperatorTrace:
     algorithm: str = ""
 
 
+def operator_trace(
+    kind: str,
+    algorithm: str,
+    seconds: float,
+    rows: int,
+    extras: Dict[str, float],
+    label: Optional[str] = None,
+) -> OperatorTrace:
+    """The one constructor of Join/Aggregate traces, for every backend:
+    described as ``kind[label]``, the label defaulting to *algorithm*."""
+    return OperatorTrace(
+        f"{kind}[{algorithm if label is None else label}]", seconds, rows,
+        extras=dict(extras), algorithm=algorithm,
+    )
+
 @dataclass
 class QueryResult:
     """Output plus the per-operator execution trace."""

@@ -109,7 +109,6 @@ def pin_plan(
     plan: PlanNode,
     trace: Sequence[OperatorTrace],
     optimize: bool = True,
-    fused: Optional[bool] = None,
 ) -> PlanNode:
     """Rebuild *plan* with the algorithms an execution actually resolved.
 
@@ -117,15 +116,12 @@ def pin_plan(
     ``execute(plan, optimize=optimize)`` run; entries are consumed in
     the executor's append order (left subtree, right subtree, operator).
     ``optimize`` decides whether a Project-over-Join folded into the
-    join (pushdown: one entry for the whole subtree) or ran separately;
-    ``fused`` mirrors the executor's fusion condition (``optimize and
-    shards == 1``, the default) so an Aggregate-over-Join consumes a
-    single fused entry whose ``algorithm`` is ``"<join>+<group-by>"``.
+    join (pushdown: one entry for the whole subtree) or ran separately.
+    Whether an Aggregate-over-Join ran fused is read off the trace, not
+    re-derived: a fused entry's ``algorithm`` is ``"<join>+<group-by>"``.
     Only names the algorithm registries know are pinned — degraded
     spellings like ``"OOC[PHJ-OM]"`` are left as the original request.
     """
-    if fused is None:
-        fused = optimize
     position = 0
 
     def take() -> OperatorTrace:
@@ -134,19 +130,15 @@ def pin_plan(
         position += 1
         return entry
 
-    def join_name(name: str) -> Optional[str]:
-        return name if name in ALGORITHMS else None
+    def pin(node, name: str, known):
+        return replace(node, algorithm=name) if name in known else node
 
-    def agg_name(name: str) -> Optional[str]:
-        return name if name in GROUPBY_ALGORITHMS else None
-
-    def walk_join(node: Join) -> Join:
-        left = walk(node.left)
-        right = walk(node.right)
-        resolved = join_name(take().algorithm)
-        if resolved is None:
-            return replace(node, left=left, right=right)
-        return replace(node, left=left, right=right, algorithm=resolved)
+    def walk_join(node: Join) -> Tuple[Join, Optional[str]]:
+        """The pinned Join, plus the group-by half of its entry when the
+        entry is a fused Aggregate-over-Join's."""
+        node = replace(node, left=walk(node.left), right=walk(node.right))
+        join_part, fused, agg_part = take().algorithm.partition("+")
+        return pin(node, join_part, ALGORITHMS), (agg_part if fused else None)
 
     def walk(node: PlanNode) -> PlanNode:
         if isinstance(node, Scan):
@@ -156,30 +148,21 @@ def pin_plan(
             if optimize and isinstance(node.child, Join):
                 # Projection pushdown: the executor emitted only the
                 # join's entry for this whole subtree.
-                return replace(node, child=walk_join(node.child))
+                return replace(node, child=walk_join(node.child)[0])
             child = walk(node.child)
             take()  # the Project's own entry
             return replace(node, child=child)
         if isinstance(node, Join):
-            return walk_join(node)
+            return walk_join(node)[0]
         if isinstance(node, Aggregate):
-            if fused and isinstance(node.child, Join):
-                left = walk(node.child.left)
-                right = walk(node.child.right)
-                entry = take()
-                join_part, _, agg_part = entry.algorithm.partition("+")
-                child = replace(node.child, left=left, right=right)
-                if join_name(join_part) is not None:
-                    child = replace(child, algorithm=join_part)
-                pinned = replace(node, child=child)
-                if agg_name(agg_part) is not None:
-                    pinned = replace(pinned, algorithm=agg_part)
-                return pinned
-            child = walk(node.child)
-            resolved = agg_name(take().algorithm)
-            if resolved is None:
-                return replace(node, child=child)
-            return replace(node, child=child, algorithm=resolved)
+            fused_agg = None
+            if isinstance(node.child, Join):
+                child, fused_agg = walk_join(node.child)
+            else:
+                child = walk(node.child)
+            # Unfused, the Aggregate's own entry follows the Join's.
+            name = take().algorithm if fused_agg is None else fused_agg
+            return pin(replace(node, child=child), name, GROUPBY_ALGORITHMS)
         raise TypeError(f"unknown plan node {type(node).__name__}")
 
     return walk(plan)

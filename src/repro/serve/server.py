@@ -1051,8 +1051,7 @@ class QueryServer:
         lookup_ok = not injects and self.shards == 1
         # Brownout suspends cache *population* only (hits still serve):
         # pinning and verification are optional work the server stops
-        # paying under pressure, and an unfused trace must never be
-        # pinned as if it were the fused shape.
+        # paying under pressure.
         populate_ok = lookup_ok and not degrade
         cache_key = ("opt" if request.optimize else "raw",
                      plan_signature(request.plan, self._fingerprint))
@@ -1153,14 +1152,7 @@ class QueryServer:
                     cache_key,
                     PinnedPlan(
                         plan=pin_plan(
-                            request.plan,
-                            result.trace,
-                            optimize=request.optimize,
-                            # Tiering (like sharding) runs Aggregate-over-
-                            # Join unfused, so the trace has two entries.
-                            fused=request.optimize
-                            and self.shards == 1
-                            and self.tiering is None,
+                            request.plan, result.trace, optimize=request.optimize
                         ),
                         pinned_from=request.plan.describe(),
                     ),
@@ -1195,10 +1187,7 @@ class QueryServer:
             result_cache_hit=False,
             subresult_hits=subresult_hits,
             degraded=error is None
-            and any(
-                "degraded" in op.extras or "OOC[" in op.algorithm
-                for op in result.trace
-            ),
+            and any(op.extras.get("degraded", 0.0) > 0 for op in result.trace),
             error=error,
             retry_seconds=session.metrics.value("fault_retry_seconds"),
             brownout_degraded=degrade,

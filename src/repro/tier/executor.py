@@ -27,7 +27,6 @@ fault-injected capacity pressure.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -41,6 +40,7 @@ from ..joins.base import JoinConfig, detect_unique_keys
 from ..joins.matching import expand_bounds
 from ..obs.session import TraceSession, current_session
 from ..primitives.grouping import distinct_sorted, group_identify, stable_key_order
+from ..query.plan import OperatorTrace, aggregate_input_columns, operator_trace
 from ..relational.relation import Relation
 from .cache import SegmentCache
 from .costmodel import TierCostModel
@@ -51,19 +51,6 @@ from .segments import SegmentedRelation, SegmentKey
 #: at the library's scaled workloads this yields tens of segments per
 #: relation, enough for meaningfully mixed placements).
 DEFAULT_SEGMENT_ROWS = 4096
-
-
-@dataclass
-class TieredOpResult:
-    """One tier-split operator: output plus co-execution accounting."""
-
-    output: object
-    seconds: float
-    rows: int
-    hot_segments: int
-    cold_segments: int
-    extras: Dict[str, float] = field(default_factory=dict)
-    algorithm: str = "TIER"
 
 
 class TieredRuntime:
@@ -398,33 +385,103 @@ class TieredRuntime:
                 return data
         return segrel.column_slice(column, index)
 
-    def _wire_pool_sink(self, session: Optional[TraceSession]) -> None:
+    # -- operator prologue / epilogue ----------------------------------------
+
+    def _begin(
+        self,
+        wants: Sequence[Tuple[SegmentedRelation, Sequence[str]]],
+        session: Optional[TraceSession],
+        fault_plan,
+        op: str,
+    ):
+        """Every tier operator's start: session, pressure, placement."""
+        if session is None:
+            session = current_session()
         # The cache's private DeviceMemory predates any session, so its
         # pool sink is wired per operator call — before the placement
         # pass, so first-call admissions show up as pool.* metrics
         # alongside the tier.* counters.
         if session is not None and self.cache.memory.pool is not None:
             self.cache.memory.pool.sink = session
+        if fault_plan is not None and fault_plan.capacity_frac is not None:
+            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
+        elif self.cache.pressure_capacity_bytes is not None:
+            # capacity pressure is a transient fault: a fault-free run
+            # lifts it so the cache can re-warm
+            self.apply_capacity_pressure(None, session)
+        placement, fresh = self._place(wants, session, op)
+        return session, placement, fresh
 
-    def _fault_contexts(
+    def _co_execute(
         self,
         session: Optional[TraceSession],
         fault_plan,
         seed: Optional[int],
-    ) -> Tuple[GPUContext, GPUContext]:
+        placement: Dict[str, float],
+        hot_rows: int,
+        cold_rows: int,
+        charge_tiers,
+        merge_transfer_bytes: int,
+        merge: KernelStats,
+    ) -> Tuple[float, Dict[str, float]]:
+        """Every tier operator's charges around its own tier kernels.
+
+        Admission transfer first, then ``charge_tiers(gpu_ctx, cpu_ctx)``;
+        a mixed placement then ships the cold partial up and merges it.
+        Returns the operator's seconds (the slower tier plus the merge)
+        and its trace extras.
+        """
         # Capacity pressure is modeled as cache shrinkage (graceful
         # demotion), not as context-memory enforcement; kernel-fault
         # injection is kept so tier kernels retry like everything else.
         plan = fault_plan.without_capacity() if fault_plan is not None else None
-        gpu = GPUContext(
+        gpu_ctx = GPUContext(
             device=self.device, trace=session, seed=seed,
             fault_plan=plan, fault_site="tier-gpu",
         )
-        cpu = GPUContext(
+        cpu_ctx = GPUContext(
             device=self.cpu_device, trace=session, seed=seed,
             fault_plan=plan, fault_site="tier-cpu",
         )
-        return gpu, cpu
+        admitted_bytes = int(placement["admitted_bytes"])
+        if admitted_bytes:
+            gpu_ctx.submit(
+                KernelStats(
+                    name="tier_admit",
+                    launches=max(1, int(placement["admitted"])),
+                    host_transfer_bytes=admitted_bytes,
+                ),
+                phase="tier-admit",
+            )
+        charge_tiers(gpu_ctx, cpu_ctx)
+        gpu_s = gpu_ctx.elapsed_seconds
+        cpu_s = cpu_ctx.elapsed_seconds
+        merge_s = 0.0
+        if hot_rows > 0 and cold_rows > 0:
+            # The smaller (cold/CPU) partial crosses the interconnect and
+            # the partials are stitched at device bandwidth — shipping
+            # the hot partial *down* would put the bulk of the output on
+            # the slow path.
+            merge_s = gpu_ctx.submit(
+                KernelStats(
+                    name="tier_result_transfer",
+                    launches=1,
+                    host_transfer_bytes=merge_transfer_bytes,
+                ),
+                phase="tier-merge",
+            )
+            merge_s += gpu_ctx.submit(merge, phase="tier-merge")
+        extras = {
+            "tier_gpu_s": gpu_s,
+            "tier_cpu_s": cpu_s,
+            "tier_merge_s": merge_s,
+            "tier_hot_rows": float(hot_rows),
+            "tier_cold_rows": float(cold_rows),
+            "tier_admitted_bytes": float(admitted_bytes),
+            "tier_hit_ratio": self.cache.hit_ratio,
+        }
+        self._note_op(session, hot_rows, cold_rows)
+        return max(gpu_s, cpu_s) + merge_s, extras
 
     # -- join ---------------------------------------------------------------
 
@@ -436,11 +493,12 @@ class TieredRuntime:
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[TieredOpResult]:
+    ) -> Optional[Tuple[Relation, OperatorTrace]]:
         """Tier-split inner join (left = build, right = probe).
 
-        Returns ``None`` when either side is not under tier management
-        (the executor falls back to the single-device path).  The output
+        Returns ``(output, OperatorTrace)``, or ``None`` when either side
+        is not under tier management (the executor falls back to the
+        single-device backend).  The output
         relation is in canonical s-major match order — identical for
         every placement, and exactly the order of
         :func:`~repro.relational.validation.reference_join`.
@@ -450,19 +508,10 @@ class TieredRuntime:
         if segR is None or segS is None:
             return None
         config = config or JoinConfig()
-        if session is None:
-            session = current_session()
-        self._wire_pool_sink(session)
-        if fault_plan is not None and fault_plan.capacity_frac is not None:
-            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
-        elif self.cache.pressure_capacity_bytes is not None:
-            # capacity pressure is a transient fault: a fault-free run
-            # lifts it so the cache can re-warm
-            self.apply_capacity_pressure(None, session)
         r_cols = left.column_names
         s_cols = right.column_names
-        placement, fresh = self._place(
-            [(segR, r_cols), (segS, s_cols)], session, "join"
+        session, placement, fresh = self._begin(
+            [(segR, r_cols), (segS, s_cols)], session, fault_plan, "join"
         )
         hot, hot_rows, cold_rows = self._split(segS, s_cols, fresh)
         r_resident = self._count_build_residency(segR, r_cols, fresh)
@@ -507,128 +556,90 @@ class TieredRuntime:
         matches = int(r_idx.size)
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
-        mixed = hot_rows > 0 and cold_rows > 0
-        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed)
-        admitted_bytes = int(placement["admitted_bytes"])
-        if admitted_bytes:
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_admit",
-                    launches=max(1, int(placement["admitted"])),
-                    host_transfer_bytes=admitted_bytes,
-                ),
-                phase="tier-admit",
-            )
         r_key_bytes = int(r_keys.nbytes)
         r_row_bytes = max(1, left.total_bytes // max(1, left.num_rows))
-        if hot_rows:
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_build",
-                    items=left.num_rows,
-                    seq_read_bytes=left.total_bytes,
-                    seq_write_bytes=2 * r_key_bytes,
-                    atomic_ops=left.num_rows,
-                    host_transfer_bytes=r_missing,
-                ),
-                phase="tier-gpu",
-            )
-            probe_stats = []
-            for index in sorted(hot):
-                start, stop = segS.row_range(index)
-                probe_stats.append(
+
+        def charge_tiers(gpu_ctx: GPUContext, cpu_ctx: GPUContext) -> None:
+            if hot_rows:
+                gpu_ctx.submit(
+                    KernelStats(
+                        name="tier_build",
+                        items=left.num_rows,
+                        seq_read_bytes=left.total_bytes,
+                        seq_write_bytes=2 * r_key_bytes,
+                        atomic_ops=left.num_rows,
+                        host_transfer_bytes=r_missing,
+                    ),
+                    phase="tier-gpu",
+                )
+                probe_stats = []
+                for index in sorted(hot):
+                    start, stop = segS.row_range(index)
+                    probe_stats.append(
+                        KernelStats(
+                            name="tier_probe",
+                            items=stop - start,
+                            seq_read_bytes=segS.range_nbytes(s_cols, index),
+                        )
+                    )
+                gpu_ctx.submit_many(probe_stats, phase="tier-gpu")
+                gpu_ctx.submit(
+                    KernelStats(
+                        name="tier_materialize",
+                        items=hot_matches,
+                        seq_read_bytes=hot_matches * r_row_bytes,
+                        seq_write_bytes=hot_out_bytes,
+                    ),
+                    phase="tier-gpu",
+                )
+            if cold_rows:
+                cpu_ctx.submit(
+                    KernelStats(
+                        name="tier_build",
+                        items=left.num_rows,
+                        seq_read_bytes=left.total_bytes,
+                        seq_write_bytes=2 * r_key_bytes,
+                        atomic_ops=left.num_rows,
+                    ),
+                    phase="tier-cpu",
+                )
+                cold_bytes = sum(
+                    segS.range_nbytes(s_cols, index)
+                    for index in range(segS.num_segments)
+                    if index not in hot
+                )
+                cpu_ctx.submit(
                     KernelStats(
                         name="tier_probe",
-                        items=stop - start,
-                        seq_read_bytes=segS.range_nbytes(s_cols, index),
-                    )
+                        items=cold_rows,
+                        seq_read_bytes=cold_bytes,
+                    ),
+                    phase="tier-cpu",
                 )
-            gpu_ctx.submit_many(probe_stats, phase="tier-gpu")
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_materialize",
-                    items=hot_matches,
-                    seq_read_bytes=hot_matches * r_row_bytes,
-                    seq_write_bytes=hot_out_bytes,
-                ),
-                phase="tier-gpu",
-            )
-        if cold_rows:
-            cpu_ctx.submit(
-                KernelStats(
-                    name="tier_build",
-                    items=left.num_rows,
-                    seq_read_bytes=left.total_bytes,
-                    seq_write_bytes=2 * r_key_bytes,
-                    atomic_ops=left.num_rows,
-                ),
-                phase="tier-cpu",
-            )
-            cold_bytes = sum(
-                segS.range_nbytes(s_cols, index)
-                for index in range(segS.num_segments)
-                if index not in hot
-            )
-            cpu_ctx.submit(
-                KernelStats(
-                    name="tier_probe",
-                    items=cold_rows,
-                    seq_read_bytes=cold_bytes,
-                ),
-                phase="tier-cpu",
-            )
-            cpu_ctx.submit(
-                KernelStats(
-                    name="tier_materialize",
-                    items=cold_matches,
-                    seq_read_bytes=cold_matches * r_row_bytes,
-                    seq_write_bytes=out_bytes - hot_out_bytes,
-                ),
-                phase="tier-cpu",
-            )
-        gpu_s = gpu_ctx.elapsed_seconds
-        cpu_s = cpu_ctx.elapsed_seconds
-        merge_s = 0.0
-        if mixed:
-            # The smaller (cold/CPU) partial crosses the interconnect and
-            # the partitions are stitched at device bandwidth — shipping
-            # the hot partition *down* would put the bulk of the output
-            # on the slow path.
-            merge_s = gpu_ctx.submit(
-                KernelStats(
-                    name="tier_result_transfer",
-                    launches=1,
-                    host_transfer_bytes=out_bytes - hot_out_bytes,
-                ),
-                phase="tier-merge",
-            )
-            merge_s += gpu_ctx.submit(
-                KernelStats(
-                    name="tier_merge",
-                    items=matches,
-                    seq_read_bytes=out_bytes,
-                    seq_write_bytes=out_bytes,
-                ),
-                phase="tier-merge",
-            )
-        seconds = max(gpu_s, cpu_s) + merge_s
-        extras = {
-            "tier_gpu_s": gpu_s,
-            "tier_cpu_s": cpu_s,
-            "tier_merge_s": merge_s,
-            "tier_hot_rows": float(hot_rows),
-            "tier_cold_rows": float(cold_rows),
-            "tier_admitted_bytes": float(admitted_bytes),
-            "tier_hit_ratio": self.cache.hit_ratio,
-        }
-        self._note_op(session, hot_rows, cold_rows)
-        return TieredOpResult(
-            output=output,
-            seconds=seconds,
-            rows=matches,
-            hot_segments=len(hot),
-            cold_segments=segS.num_segments - len(hot),
-            extras=extras,
+                cpu_ctx.submit(
+                    KernelStats(
+                        name="tier_materialize",
+                        items=cold_matches,
+                        seq_read_bytes=cold_matches * r_row_bytes,
+                        seq_write_bytes=out_bytes - hot_out_bytes,
+                    ),
+                    phase="tier-cpu",
+                )
+
+        seconds, extras = self._co_execute(
+            session, fault_plan, seed, placement, hot_rows, cold_rows,
+            charge_tiers,
+            merge_transfer_bytes=out_bytes - hot_out_bytes,
+            merge=KernelStats(
+                name="tier_merge",
+                items=matches,
+                seq_read_bytes=out_bytes,
+                seq_write_bytes=out_bytes,
+            ),
+        )
+        return output, operator_trace(
+            "Join", "TIER", seconds, matches, extras,
+            label=f"TIER hot:{len(hot)}/cold:{segS.num_segments - len(hot)}",
         )
 
     # -- group-by ------------------------------------------------------------
@@ -636,13 +647,14 @@ class TieredRuntime:
     def run_group_by(
         self,
         child: Relation,
-        group_column: str,
-        aggregates: List[AggSpec],
+        node,
         session: Optional[TraceSession] = None,
         fault_plan=None,
         seed: Optional[int] = None,
-    ) -> Optional[TieredOpResult]:
-        """Tier-split grouped aggregation over a managed base relation.
+    ) -> Optional[Tuple[object, OperatorTrace]]:
+        """Tier-split grouped aggregation (an ``Aggregate`` *node*) over
+        a managed base relation *child*: ``(output, OperatorTrace)``, or
+        ``None`` when *child* is not under tier management.
 
         Hot row ranges fold on the GPU, cold ranges on the CPU; the
         exact partial aggregates merge by group key into output
@@ -651,47 +663,24 @@ class TieredRuntime:
         segrel = self.segmented(child)
         if segrel is None:
             return None
-        if session is None:
-            session = current_session()
-        self._wire_pool_sink(session)
-        if fault_plan is not None and fault_plan.capacity_frac is not None:
-            self.apply_capacity_pressure(fault_plan.capacity_frac, session)
-        elif self.cache.pressure_capacity_bytes is not None:
-            # capacity pressure is a transient fault: a fault-free run
-            # lifts it so the cache can re-warm
-            self.apply_capacity_pressure(None, session)
-        needed: List[str] = [group_column]
-        for spec in aggregates:
-            if spec.op != "count" and spec.column not in needed:
-                needed.append(spec.column)
-        placement, fresh = self._place([(segrel, needed)], session, "group-by")
+        group_column = node.group_column
+        aggregates = list(node.aggregates)
+        needed = list(aggregate_input_columns(node))
+        session, placement, fresh = self._begin(
+            [(segrel, needed)], session, fault_plan, "group-by"
+        )
         hot, hot_rows, cold_rows = self._split(segrel, needed, fresh)
 
         def tier_arrays(indices: Sequence[int], is_hot: bool):
-            keys = [
-                self._segment_array(segrel, group_column, i, is_hot)
-                for i in indices
-            ]
-            values = {
-                column: [
-                    self._segment_array(segrel, column, i, is_hot)
-                    for i in indices
-                ]
-                for column in needed
-                if column != group_column
-            }
-            key_arr = (
-                np.concatenate(keys)
-                if keys
-                else child.column(group_column)[:0]
-            )
-            value_arrs = {
-                column: (
+            arrays = {}
+            for column in needed:
+                parts = [self._segment_array(segrel, column, i, is_hot) for i in indices]
+                arrays[column] = (
                     np.concatenate(parts) if parts else child.column(column)[:0]
                 )
-                for column, parts in values.items()
-            }
-            return key_arr, value_arrs
+            # The group column stays among the values too: aggregating it
+            # (e.g. ``sum(key) by key``) reads it like any other column.
+            return arrays[group_column], arrays
 
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
@@ -703,87 +692,49 @@ class TieredRuntime:
         merged = _merge_partials(hot_partial, cold_partial, aggregates)
         output = _finalize_partial(merged, aggregates)
         groups = int(output["group_key"].size)
-
-        mixed = hot_rows > 0 and cold_rows > 0
-        gpu_ctx, cpu_ctx = self._fault_contexts(session, fault_plan, seed)
-        admitted_bytes = int(placement["admitted_bytes"])
-        if admitted_bytes:
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_admit",
-                    launches=max(1, int(placement["admitted"])),
-                    host_transfer_bytes=admitted_bytes,
-                ),
-                phase="tier-admit",
-            )
         partial_bytes = 8 * (1 + len(aggregates))
-        if hot_rows:
-            hot_bytes = sum(segS_bytes for segS_bytes in (
-                segrel.range_nbytes(needed, i) for i in hot_idx
-            ))
-            hot_groups = int(hot_partial["keys"].size)
-            gpu_ctx.submit(
-                KernelStats(
-                    name="tier_fold",
-                    items=hot_rows,
-                    seq_read_bytes=hot_bytes,
-                    seq_write_bytes=hot_groups * partial_bytes,
-                    atomic_ops=hot_rows,
-                ),
-                phase="tier-gpu",
-            )
-        if cold_rows:
-            cold_bytes = sum(segrel.range_nbytes(needed, i) for i in cold_idx)
-            cold_groups = int(cold_partial["keys"].size)
-            cpu_ctx.submit(
-                KernelStats(
-                    name="tier_fold",
-                    items=cold_rows,
-                    seq_read_bytes=cold_bytes,
-                    seq_write_bytes=cold_groups * partial_bytes,
-                ),
-                phase="tier-cpu",
-            )
-        gpu_s = gpu_ctx.elapsed_seconds
-        cpu_s = cpu_ctx.elapsed_seconds
-        merge_s = 0.0
-        if mixed:
-            cold_groups = int(cold_partial["keys"].size)
-            merge_s = gpu_ctx.submit(
-                KernelStats(
-                    name="tier_result_transfer",
-                    launches=1,
-                    host_transfer_bytes=cold_groups * partial_bytes,
-                ),
-                phase="tier-merge",
-            )
-            merge_s += gpu_ctx.submit(
-                KernelStats(
-                    name="tier_merge",
-                    items=groups,
-                    seq_read_bytes=2 * groups * partial_bytes,
-                    seq_write_bytes=groups * partial_bytes,
-                ),
-                phase="tier-merge",
-            )
-        seconds = max(gpu_s, cpu_s) + merge_s
-        extras = {
-            "tier_gpu_s": gpu_s,
-            "tier_cpu_s": cpu_s,
-            "tier_merge_s": merge_s,
-            "tier_hot_rows": float(hot_rows),
-            "tier_cold_rows": float(cold_rows),
-            "tier_admitted_bytes": float(admitted_bytes),
-            "tier_hit_ratio": self.cache.hit_ratio,
-        }
-        self._note_op(session, hot_rows, cold_rows)
-        return TieredOpResult(
-            output=output,
-            seconds=seconds,
-            rows=groups,
-            hot_segments=len(hot),
-            cold_segments=segrel.num_segments - len(hot),
-            extras=extras,
+        cold_groups = 0 if cold_partial is None else int(cold_partial["keys"].size)
+
+        def charge_tiers(gpu_ctx: GPUContext, cpu_ctx: GPUContext) -> None:
+            if hot_rows:
+                hot_bytes = sum(segrel.range_nbytes(needed, i) for i in hot_idx)
+                hot_groups = int(hot_partial["keys"].size)
+                gpu_ctx.submit(
+                    KernelStats(
+                        name="tier_fold",
+                        items=hot_rows,
+                        seq_read_bytes=hot_bytes,
+                        seq_write_bytes=hot_groups * partial_bytes,
+                        atomic_ops=hot_rows,
+                    ),
+                    phase="tier-gpu",
+                )
+            if cold_rows:
+                cold_bytes = sum(segrel.range_nbytes(needed, i) for i in cold_idx)
+                cpu_ctx.submit(
+                    KernelStats(
+                        name="tier_fold",
+                        items=cold_rows,
+                        seq_read_bytes=cold_bytes,
+                        seq_write_bytes=cold_groups * partial_bytes,
+                    ),
+                    phase="tier-cpu",
+                )
+
+        seconds, extras = self._co_execute(
+            session, fault_plan, seed, placement, hot_rows, cold_rows,
+            charge_tiers,
+            merge_transfer_bytes=cold_groups * partial_bytes,
+            merge=KernelStats(
+                name="tier_merge",
+                items=groups,
+                seq_read_bytes=2 * groups * partial_bytes,
+                seq_write_bytes=groups * partial_bytes,
+            ),
+        )
+        return output, operator_trace(
+            "Aggregate", "TIER", seconds, groups, extras,
+            label=f"TIER hot:{len(hot)}/cold:{segrel.num_segments - len(hot)}",
         )
 
     def _note_op(

@@ -1,8 +1,9 @@
 """The shared strided-sample group-cardinality estimator.
 
 One implementation (``aggregation.planner.estimate_group_cardinality``)
-now serves ``repro.api.group_by`` and the query executor; these tests
-pin its behaviour so neither call site drifts.
+serves every ``"auto"`` group-by path through
+``aggregation.planner.resolve_groupby_algorithm``; these tests pin its
+behaviour so no call site drifts.
 """
 
 import numpy as np
@@ -97,12 +98,35 @@ class TestSampledRegime:
 class TestCallSitesAgree:
     """api.group_by and the executor resolve the same estimate."""
 
-    def test_same_helper_is_used(self):
+    def test_same_helper_is_used(self, monkeypatch):
+        import repro.aggregation.planner as planner
         import repro.api as api
-        import repro.query.executor as executor
+        import repro.cluster.sharded as sharded
+        import repro.faults.recovery as recovery
+        import repro.joins.fused as fused
+        from repro.aggregation import AggSpec
+        from repro.query.executor import execute
+        from repro.query.plan import Aggregate, Scan
+        from repro.relational import Relation
 
-        assert api.estimate_group_cardinality is estimate_group_cardinality
-        assert executor.estimate_group_cardinality is estimate_group_cardinality
+        # Every "auto" group-by path binds the one resolver ...
+        for module in (api, sharded, recovery, fused):
+            assert module.resolve_groupby_algorithm is planner.resolve_groupby_algorithm
+        # ... which reads the one estimator, from the API and the executor.
+        seen = []
+
+        def spy(keys, sample_limit=CARDINALITY_SAMPLE_LIMIT):
+            seen.append(int(keys.size))
+            return estimate_group_cardinality(keys, sample_limit)
+
+        monkeypatch.setattr(planner, "estimate_group_cardinality", spy)
+        keys = np.arange(64, dtype=np.int32).repeat(2)
+        values = {"v": np.ones(keys.size, dtype=np.int32)}
+        api.group_by(keys, values, {"v": "sum"})
+        rel = Relation.from_key_payloads(keys, [values["v"]], payload_prefix="v")
+        execute(Aggregate(Scan(rel), "key", (AggSpec("v1", "sum"),)), seed=0)
+        execute(Aggregate(Scan(rel), "key", (AggSpec("v1", "sum"),)), seed=0, shards=2)
+        assert seen == [keys.size] * 3
 
     def test_auto_algorithm_selection_uses_estimate(self):
         from repro import group_by

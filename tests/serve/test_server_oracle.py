@@ -109,6 +109,21 @@ def test_noop_fault_plan_still_caches(r, s):
     assert server.query(plan, fault_plan=FaultPlan()).result_cache_hit
 
 
+def test_degraded_flag_reads_the_trace_value(r, s):
+    # A no-op plan runs every operator on the recovery ladder's first
+    # rung (``degraded: 0.0`` in its extras): not degraded.  Memory
+    # pressure that forces the out-of-core re-plan is.
+    plan = Join(Scan(r), Scan(s))
+    server = QueryServer(streams=1, seed=SERVE_SEED)
+    clean = server.query(plan, fault_plan=FaultPlan())
+    assert clean.status == "completed" and not clean.degraded
+    assert server.metrics.value("serve.degraded_queries") == 0.0
+    pressed = server.query(plan, fault_plan=FaultPlan(seed=2, capacity_frac=1e-7))
+    assert pressed.status == "completed" and pressed.degraded
+    assert server.metrics.value("serve.degraded_queries") == 1.0
+    assert pressed.output.equals_unordered(clean.output)
+
+
 def test_two_identical_server_runs_are_identical(r, s, t):
     def one_run():
         server = QueryServer(streams=3, seed=SERVE_SEED)
