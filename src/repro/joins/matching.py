@@ -8,16 +8,23 @@ algorithm modules for the accounting.
 All helpers produce matches in probe-major (s-major) order: ascending s
 position, which is the streaming order both the merge join and the
 partitioned hash join naturally emit (Section 4.1 — the property that
-keeps GFTR's output identifiers clustered).
+keeps GFTR's output identifiers clustered).  Equal build keys match in
+stable build order (ascending build position).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..primitives.grouping import stable_key_order
+
+#: Integer build keys whose span (``max - min + 1``) is at most this
+#: multiple of the build row count take the direct-map path.  The paper's
+#: primary keys are a shuffled ``0..|R|-1`` (span == |R|), or up to
+#: ``2|R|`` once non-matching keys are displaced (Section 5.1).
+DENSE_SPAN_FACTOR = 4
 
 
 def expand_bounds(
@@ -49,13 +56,21 @@ def match_positions(
     """Matching (build position, probe position) pairs, s-major.
 
     ``build_keys`` need not be sorted; positions refer to the arrays as
-    given (e.g. a radix-partitioned layout).  Used by the hash joins,
-    where co-partitioning guarantees matches share a partition but the
-    intra-partition layout is unsorted.
+    given (e.g. a radix-partitioned layout).  Equal build keys match in
+    ascending build position; with ``unique_build_keys`` each probe
+    keeps only the first of them.  Both outputs are int64.
+
+    Integer keys whose build span is at most :data:`DENSE_SPAN_FACTOR`
+    times the build row count are matched through a direct map indexed
+    by ``key - min``; all other keys binary-search the stably sorted
+    build side.  Both paths return identical pairs.
     """
     if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    dense = _dense_offsets(build_keys, probe_keys)
+    if dense is not None:
+        return _direct_map_match(*dense, unique_build_keys)
     order = stable_key_order(build_keys)
     sorted_keys = build_keys[order]
     lo = np.searchsorted(sorted_keys, probe_keys, side="left")
@@ -69,15 +84,67 @@ def match_positions(
     return order[sorted_pos], s_pos
 
 
-def sorted_match_positions(
-    build_keys_sorted: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Match pairs when the build side is already sorted (merge join).
+def _dense_offsets(
+    build_keys: np.ndarray, probe_keys: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """``(build offsets, probe offsets, span)`` when the build is dense.
 
-    ``lo``/``hi`` come from :func:`repro.primitives.merge_path.match_bounds`.
-    Positions on the build side refer to the *sorted* layout.
+    Offsets are ``key - min(build)`` as intp; a probe outside the build
+    range gets offset ``span``.  ``None`` for non-integer keys or a
+    sparse build span.
     """
-    del build_keys_sorted  # bounds already encode everything needed
-    return expand_bounds(lo, hi)
+    dtype = np.result_type(build_keys.dtype, probe_keys.dtype)
+    if dtype.kind not in "iu":
+        return None
+    build_keys = build_keys.astype(dtype, copy=False)
+    probe_keys = probe_keys.astype(dtype, copy=False)
+    lo = build_keys.min()
+    span = int(build_keys.max()) - int(lo) + 1
+    if span > DENSE_SPAN_FACTOR * build_keys.size:
+        return None
+    # Subtract in the key's own width and read the difference unsigned:
+    # (key - lo) mod 2^bits is below span exactly for keys in
+    # [lo, lo + span), so no value can overflow into a false match.
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    build_off = (build_keys - lo).view(unsigned).astype(np.intp)
+    probe_off = (probe_keys - lo).view(unsigned)
+    if span < 1 << (8 * dtype.itemsize):
+        probe_off = np.minimum(probe_off, unsigned.type(span))
+    probe_off = probe_off.astype(np.intp)
+    return build_off, probe_off, span
+
+
+def _direct_map_match(
+    build_off: np.ndarray,
+    probe_off: np.ndarray,
+    span: int,
+    unique_build_keys: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Direct-map match over offsets from :func:`_dense_offsets`.
+
+    Every table has one extra slot at index ``span`` that out-of-range
+    probes hit and that never matches.
+    """
+    n = build_off.size
+    # Positions fit int32 below 2^31 rows: half the table's cache traffic.
+    slot_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    slots = np.full(span + 1, -1, dtype=slot_type)
+    slots[build_off] = np.arange(n, dtype=slot_type)
+    if np.count_nonzero(slots >= 0) == n:
+        # Distinct build keys: every probe hits at most one slot.
+        hit = np.take(slots, probe_off)
+        s_pos = np.flatnonzero(hit >= 0).astype(np.int64, copy=False)
+        if s_pos.size < hit.size:
+            hit = np.take(hit, s_pos)
+        return hit.astype(np.int64), s_pos
+    # Duplicate build keys: CSR over the stable key order (offsets sort
+    # like their keys).  ``starts`` is the exclusive prefix count —
+    # exactly the left searchsorted bound into the sorted build side.
+    counts = np.bincount(build_off, minlength=span + 1)
+    starts = np.cumsum(counts) - counts
+    per_probe = counts[probe_off]
+    if unique_build_keys:
+        np.minimum(per_probe, 1, out=per_probe)
+    lo = starts[probe_off]
+    sorted_pos, s_pos = expand_bounds(lo, lo + per_probe)
+    return stable_key_order(build_off)[sorted_pos], s_pos

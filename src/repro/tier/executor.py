@@ -7,10 +7,10 @@ overlap: the operator's elapsed time is the max of the two tiers plus
 merge and staging), and merges the partial results **bit-identically**
 to the single-device ``execute()`` path:
 
-* joins compute matches per probe segment with the canonical
-  searchsorted construction of
-  :func:`~repro.joins.matching.match_positions`; concatenating the
-  per-segment pairs in segment order *is* the global s-major match
+* joins read each probe segment from whichever tier holds it,
+  concatenate them in row order and make one
+  :func:`~repro.joins.matching.match_positions` call — the match every
+  single-device join uses — so the pairs are the global s-major match
   order of :func:`~repro.relational.validation.join_match_indices`,
   independent of which segments happen to be resident;
 * group-bys fold exact per-tier partial aggregates (int64 sums/counts,
@@ -37,9 +37,9 @@ from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import BufferPool, DeviceMemory
 from ..joins.base import JoinConfig, detect_unique_keys
-from ..joins.matching import expand_bounds
+from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
-from ..primitives.grouping import distinct_sorted, group_identify, stable_key_order
+from ..primitives.grouping import distinct_sorted, group_identify
 from ..query.plan import OperatorTrace, aggregate_input_columns, operator_trace
 from ..relational.relation import Relation
 from .cache import SegmentCache
@@ -521,39 +521,22 @@ class TieredRuntime:
         if unique is None:
             unique = detect_unique_keys(left.key_values)
         r_keys = left.key_values
-        # Hoisted build-side sort; per segment this is exactly
-        # joins.matching.match_positions, so concatenating per-segment
-        # pairs in segment order reproduces the global s-major match
-        # order bit-for-bit regardless of placement.
-        order = stable_key_order(r_keys)
-        sorted_keys = r_keys[order]
-        parts_r: List[np.ndarray] = []
-        parts_s: List[np.ndarray] = []
-        hot_matches = cold_matches = 0
-        for index in range(segS.num_segments):
-            start, _ = segS.row_range(index)
-            seg_keys = self._segment_array(segS, right.key, index, index in hot)
-            if sorted_keys.size == 0:
-                continue
-            lo = np.searchsorted(sorted_keys, seg_keys, side="left")
-            if unique:
-                clipped = np.minimum(lo, sorted_keys.size - 1)
-                hi = lo + (sorted_keys[clipped] == seg_keys).astype(lo.dtype)
-            else:
-                hi = np.searchsorted(sorted_keys, seg_keys, side="right")
-            sorted_pos, s_pos = expand_bounds(lo, hi)
-            if index in hot:
-                hot_matches += sorted_pos.size
-            else:
-                cold_matches += sorted_pos.size
-            parts_r.append(order[sorted_pos])
-            parts_s.append(s_pos + start)
-        empty = np.empty(0, dtype=np.int64)
-        r_idx = np.concatenate(parts_r) if parts_r else empty
-        s_idx = np.concatenate(parts_s) if parts_s else empty
+        # One match over the whole probe side: the segments concatenate
+        # in row order, so the pairs do not depend on the placement.
+        seg_keys = [
+            self._segment_array(segS, right.key, index, index in hot)
+            for index in range(segS.num_segments)
+        ]
+        probe = np.concatenate(seg_keys) if seg_keys else right.key_values
+        r_idx, s_idx = match_positions(r_keys, probe, unique)
+        per_segment = np.bincount(
+            s_idx // segS.segment_rows, minlength=segS.num_segments
+        )
+        matches = int(r_idx.size)
+        hot_matches = sum(int(per_segment[index]) for index in hot)
+        cold_matches = matches - hot_matches
         output = _materialize_join(left, right, r_idx, s_idx, config.output_name)
 
-        matches = int(r_idx.size)
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
         r_key_bytes = int(r_keys.nbytes)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import GPUContext, KernelStats
+from repro.joins.matching import match_positions
 from repro.primitives.grouping import group_identify
 from repro.primitives.sector_analysis import analyze_indices, set_sector_mode
 
@@ -87,4 +88,23 @@ def test_sector_count_throughput():
     assert throughput >= floor("sector_count_indices_per_s"), (
         f"sector analysis at {throughput:.0f} indices/s, "
         f"floor {floor('sector_count_indices_per_s'):.0f}"
+    )
+
+
+def test_match_throughput():
+    """The dense-key join match sustains the pairs/s floor.
+
+    2^17 unique primary keys (a shuffled ``0..|R|-1``, Section 5.1) in
+    a radix-partitioned layout, probed by 2^18 foreign keys.
+    """
+    rng = np.random.default_rng(3)
+    keys = rng.permutation(1 << 17).astype(np.int32)
+    build = keys[np.argsort(keys & 0xFF, kind="stable")]
+    probe = rng.integers(0, 1 << 17, 1 << 18).astype(np.int32)
+    pairs = match_positions(build, probe, True)[0].size
+    seconds = best_seconds(lambda: match_positions(build, probe, True))
+    throughput = pairs / seconds
+    assert throughput >= floor("match_pairs_per_s"), (
+        f"match at {throughput:.0f} pairs/s, "
+        f"floor {floor('match_pairs_per_s'):.0f}"
     )
