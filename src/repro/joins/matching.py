@@ -60,17 +60,20 @@ def match_positions(
     ascending build position; with ``unique_build_keys`` each probe
     keeps only the first of them.  Both outputs are int64.
 
-    Integer keys whose build span is at most :data:`DENSE_SPAN_FACTOR`
-    times the build row count are matched through a direct map indexed
-    by ``key - min``; all other keys binary-search the stably sorted
-    build side.  Both paths return identical pairs.
+    Distinct integer build keys whose span is at most
+    :data:`DENSE_SPAN_FACTOR` times the build row count are matched
+    through a direct map indexed by ``key - min``; all other keys
+    binary-search the stably sorted build side.  Both paths return
+    identical pairs.
     """
     if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     dense = _dense_offsets(build_keys, probe_keys)
     if dense is not None:
-        return _direct_map_match(*dense, unique_build_keys)
+        matched = _direct_map_match(*dense)
+        if matched is not None:
+            return matched
     order = stable_key_order(build_keys)
     sorted_keys = build_keys[order]
     lo = np.searchsorted(sorted_keys, probe_keys, side="left")
@@ -115,36 +118,25 @@ def _dense_offsets(
 
 
 def _direct_map_match(
-    build_off: np.ndarray,
-    probe_off: np.ndarray,
-    span: int,
-    unique_build_keys: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
+    build_off: np.ndarray, probe_off: np.ndarray, span: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Direct-map match over offsets from :func:`_dense_offsets`.
 
-    Every table has one extra slot at index ``span`` that out-of-range
-    probes hit and that never matches.
+    The slot table has one extra slot at index ``span`` that
+    out-of-range probes hit and that never matches.  ``None`` when the
+    build keys are not distinct; those take the search path.
     """
     n = build_off.size
     # Positions fit int32 below 2^31 rows: half the table's cache traffic.
     slot_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     slots = np.full(span + 1, -1, dtype=slot_type)
     slots[build_off] = np.arange(n, dtype=slot_type)
-    if np.count_nonzero(slots >= 0) == n:
-        # Distinct build keys: every probe hits at most one slot.
-        hit = np.take(slots, probe_off)
-        s_pos = np.flatnonzero(hit >= 0).astype(np.int64, copy=False)
-        if s_pos.size < hit.size:
-            hit = np.take(hit, s_pos)
-        return hit.astype(np.int64), s_pos
-    # Duplicate build keys: CSR over the stable key order (offsets sort
-    # like their keys).  ``starts`` is the exclusive prefix count —
-    # exactly the left searchsorted bound into the sorted build side.
-    counts = np.bincount(build_off, minlength=span + 1)
-    starts = np.cumsum(counts) - counts
-    per_probe = counts[probe_off]
-    if unique_build_keys:
-        np.minimum(per_probe, 1, out=per_probe)
-    lo = starts[probe_off]
-    sorted_pos, s_pos = expand_bounds(lo, lo + per_probe)
-    return stable_key_order(build_off)[sorted_pos], s_pos
+    if np.count_nonzero(slots >= 0) != n:
+        return None
+    # Distinct build keys: every probe hits at most one slot, so the
+    # unique flag cannot change the result.
+    hit = np.take(slots, probe_off)
+    s_pos = np.flatnonzero(hit >= 0).astype(np.int64, copy=False)
+    if s_pos.size < hit.size:
+        hit = np.take(hit, s_pos)
+    return hit.astype(np.int64), s_pos
