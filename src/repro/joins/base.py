@@ -34,7 +34,9 @@ from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..relational.relation import Relation
+from ..primitives.gather import gather
 from ..primitives.grouping import count_distinct
+from ..primitives.sector_analysis import SectorStats, analyze_indices
 from ..relational.types import id_dtype
 
 #: Canonical phase names (order matters for reports).
@@ -177,6 +179,53 @@ def output_column_names(
     return [
         entry for entry in names if entry[2] == "key" or entry[2] in wanted
     ]
+
+
+def map_stats(
+    memo: Dict[Tuple[str, int], SectorStats],
+    side: str,
+    index_map: np.ndarray,
+    element_bytes: int,
+) -> SectorStats:
+    """Sector stats of one side's match map, analysed once per width.
+
+    Every payload column of a side is gathered through the same map, and
+    the stats depend only on the map and the element width, so *memo*
+    (one dict per materialization) holds them per ``(side, width)``.
+    """
+    key = (side, element_bytes)
+    if key not in memo:
+        memo[key] = analyze_indices(index_map, element_bytes)
+    return memo[key]
+
+
+def materialize_gfur(
+    ctx: GPUContext,
+    r: Relation,
+    s: Relation,
+    out_key: np.ndarray,
+    ids_r,
+    ids_s,
+    projection: Optional[Tuple[str, ...]],
+) -> List[Tuple[str, np.ndarray]]:
+    """GFUR materialization: gather every output payload column from its
+    input relation through the side's physical match IDs, then free the
+    ID arrays (*ids_r* / *ids_s* are tracked-allocator handles)."""
+    columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
+    memo: Dict[Tuple[str, int], SectorStats] = {}
+    with ctx.phase(MATERIALIZE):
+        for side, source, out_name in output_column_names(r, s, projection):
+            if out_name == "key":
+                continue
+            column = (r if side == "r" else s).column(source)
+            ids = (ids_r if side == "r" else ids_s).data
+            stats = map_stats(memo, side, ids, column.dtype.itemsize)
+            columns.append(
+                (out_name, gather(ctx, column, ids, phase=MATERIALIZE, label=out_name, stats=stats))
+            )
+        ctx.mem.free(ids_r)
+        ctx.mem.free(ids_s)
+    return columns
 
 
 def init_tuple_ids(

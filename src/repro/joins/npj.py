@@ -21,7 +21,6 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from ..primitives.gather import gather
 from ..primitives.hash_table import (
     SLOT_BYTES,
     build_table,
@@ -30,7 +29,7 @@ from ..primitives.hash_table import (
 )
 from ..primitives.sector_analysis import analyze_indices
 from ..relational.relation import Relation
-from .base import MATCH, MATERIALIZE, JoinAlgorithm, output_column_names
+from .base import MATCH, JoinAlgorithm, materialize_gfur
 
 
 def _charge_table_traffic(
@@ -104,16 +103,6 @@ class NonPartitionedHashJoin(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s.astype(np.int32, copy=False), "match_ids_s")
             ctx.mem.free(table)
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return materialize_gfur(
+            ctx, r, s, out_key, a_id_r, a_id_s, self.config.projection
+        )

@@ -39,6 +39,8 @@ from .base import (
     JoinAlgorithm,
     JoinConfig,
     init_tuple_ids,
+    map_stats,
+    materialize_gfur,
     output_column_names,
 )
 from .matching import match_positions
@@ -211,6 +213,7 @@ class PartitionedHashJoin(JoinAlgorithm):
             ctx.mem.free_by_prefix("part_keys_")
 
         columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
+        memo = {}
         with ctx.phase(MATERIALIZE):
             for side, source, out_name in output_column_names(r, s, self.config.projection):
                 if out_name == "key":
@@ -220,9 +223,10 @@ class PartitionedHashJoin(JoinAlgorithm):
                 first = first_payload.get(side)
                 if first and first[0] == source:
                     transformed = first[1]
-                    columns.append(
-                        (out_name, gather(ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name))
-                    )
+                    stats = map_stats(memo, side, vids, transformed.data.dtype.itemsize)
+                    columns.append((out_name, gather(
+                        ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name, stats=stats
+                    )))
                     ctx.mem.free(transformed)
                     continue
                 # Lazily partition this payload column with the keys
@@ -235,8 +239,9 @@ class PartitionedHashJoin(JoinAlgorithm):
                     compute_boundaries=False, order=parts[side].order,
                 )
                 a_col = ctx.mem.adopt(part.payloads[0], f"part_payload_{out_name}")
+                stats = map_stats(memo, side, vids, a_col.data.dtype.itemsize)
                 columns.append(
-                    (out_name, gather(ctx, a_col.data, vids, phase=MATERIALIZE, label=out_name))
+                    (out_name, gather(ctx, a_col.data, vids, phase=MATERIALIZE, label=out_name, stats=stats))
                 )
                 ctx.mem.free(a_col)
             # A projection may skip the eagerly transformed first payloads.
@@ -285,16 +290,6 @@ class PartitionedHashJoin(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
             ctx.mem.free_by_prefix("part_keys_", "part_ids_")
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return materialize_gfur(
+            ctx, r, s, out_key, a_id_r, a_id_s, self.config.projection
+        )

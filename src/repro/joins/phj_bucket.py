@@ -23,11 +23,10 @@ from ..primitives.gather import gather
 from ..relational.relation import Relation
 from .base import (
     MATCH,
-    MATERIALIZE,
     TRANSFORM,
     JoinAlgorithm,
     init_tuple_ids,
-    output_column_names,
+    materialize_gfur,
 )
 from .matching import match_positions
 from .narrow import narrow_partitioned_hash
@@ -103,19 +102,9 @@ class PartitionedHashJoinUM(JoinAlgorithm):
             a_id_s = ctx.mem.adopt(id_s, "match_ids_s")
             ctx.mem.free_by_prefix("part_keys_", "part_ids_", "fragmentation_")
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = a_id_r.data if side == "r" else a_id_s.data
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return materialize_gfur(
+            ctx, r, s, out_key, a_id_r, a_id_s, self.config.projection
+        )
 
 
 def demonstrate_gftr_incompatibility(

@@ -30,6 +30,8 @@ from .base import (
     TRANSFORM,
     JoinAlgorithm,
     init_tuple_ids,
+    map_stats,
+    materialize_gfur,
     output_column_names,
 )
 from .matching import expand_bounds
@@ -107,19 +109,9 @@ class SortMergeJoinUM(JoinAlgorithm):
             for arr in (rk, r_ids, sk, s_ids):
                 ctx.mem.free(arr)
 
-        columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
-        with ctx.phase(MATERIALIZE):
-            for side, source, out_name in output_column_names(r, s, self.config.projection):
-                if out_name == "key":
-                    continue
-                rel = r if side == "r" else s
-                ids = id_r if side == "r" else id_s
-                columns.append(
-                    (out_name, gather(ctx, rel.column(source), ids, phase=MATERIALIZE, label=out_name))
-                )
-            ctx.mem.free(a_id_r)
-            ctx.mem.free(a_id_s)
-        return columns
+        return materialize_gfur(
+            ctx, r, s, out_key, a_id_r, a_id_s, self.config.projection
+        )
 
 
 class SortMergeJoinOM(JoinAlgorithm):
@@ -175,6 +167,7 @@ class SortMergeJoinOM(JoinAlgorithm):
             ctx.mem.free(sk)
 
         columns: List[Tuple[str, np.ndarray]] = [("key", out_key)]
+        memo = {}
         with ctx.phase(MATERIALIZE):
             for side, source, out_name in output_column_names(r, s, self.config.projection):
                 if out_name == "key":
@@ -184,9 +177,10 @@ class SortMergeJoinOM(JoinAlgorithm):
                 first = first_payload.get(side)
                 if first and first[0] == source:
                     transformed = first[1]
-                    columns.append(
-                        (out_name, gather(ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name))
-                    )
+                    stats = map_stats(memo, side, vids, transformed.data.dtype.itemsize)
+                    columns.append((out_name, gather(
+                        ctx, transformed.data, vids, phase=MATERIALIZE, label=out_name, stats=stats
+                    )))
                     ctx.mem.free(transformed)
                     continue
                 # Lazily transform this payload column with the keys
@@ -202,8 +196,9 @@ class SortMergeJoinOM(JoinAlgorithm):
                 a_tk = ctx.mem.adopt(tk, f"keys_resorted_{out_name}")
                 a_tcol = ctx.mem.adopt(tcol, f"payload_sorted_{out_name}")
                 ctx.mem.free(a_tk)  # the re-sorted key column is not needed
+                stats = map_stats(memo, side, vids, a_tcol.data.dtype.itemsize)
                 columns.append(
-                    (out_name, gather(ctx, a_tcol.data, vids, phase=MATERIALIZE, label=out_name))
+                    (out_name, gather(ctx, a_tcol.data, vids, phase=MATERIALIZE, label=out_name, stats=stats))
                 )
                 ctx.mem.free(a_tcol)
             # A projection may skip the eagerly transformed first payloads.

@@ -17,11 +17,14 @@ import numpy as np
 
 from ..gpusim.context import GPUContext
 from ..gpusim.kernel import KernelStats
-from .sector_analysis import analyze_indices
+from .sector_analysis import SectorStats, analyze_indices
 
 
-def _random_stats_fields(index_map: np.ndarray, element_bytes: int) -> dict:
-    stats = analyze_indices(index_map, element_bytes)
+def _random_stats_fields(
+    index_map: np.ndarray, element_bytes: int, stats: Optional[SectorStats] = None
+) -> dict:
+    if stats is None:
+        stats = analyze_indices(index_map, element_bytes)
     return {
         "random_requests": stats.requests,
         "random_sector_touches": stats.sector_touches,
@@ -36,22 +39,25 @@ def gather(
     index_map: np.ndarray,
     phase: Optional[str] = None,
     label: str = "",
+    stats: Optional[SectorStats] = None,
 ) -> np.ndarray:
     """Gather ``src[index_map]``, charging random-read traffic.
 
     The map itself is streamed sequentially; the output is written
     sequentially; the source reads are charged according to the measured
-    per-warp sector counts of the map.
+    per-warp sector counts of the map.  *stats*, when given, must be
+    ``analyze_indices(index_map, src.dtype.itemsize)``: callers that
+    gather several columns through one map analyse it once.
     """
     out = src[index_map]
-    stats = KernelStats(
+    kernel = KernelStats(
         name=f"gather:{label}" if label else "gather",
         items=int(index_map.size),
         seq_read_bytes=int(index_map.nbytes),
         seq_write_bytes=int(out.nbytes),
-        **_random_stats_fields(index_map, src.dtype.itemsize),
+        **_random_stats_fields(index_map, src.dtype.itemsize, stats),
     )
-    ctx.submit(stats, phase=phase)
+    ctx.submit(kernel, phase=phase)
     return out
 
 

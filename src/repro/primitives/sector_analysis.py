@@ -11,10 +11,18 @@ emergent property of the maps, never a declared label.
 Two accounting modes exist:
 
 ``exact``
-    The original warp-by-warp analysis: reshape into 32-lane warps, sort
-    each warp's sector ids, count distinct runs, and count the globally
-    distinct sectors.  O(n log 32) per map — accurate but it dominates
-    bench wall-clock at paper scale (2^27 tuples).
+    Warp-by-warp analysis in one map-sized buffer: the byte offsets are
+    reshaped into 32-lane warps and each warp is sorted once (skipped
+    entirely for a non-decreasing map, the shape clustered gathers
+    produce); the first and last lanes give each warp's span, and flat
+    comparisons of the sector ids count the per-warp touches (all sector
+    changes minus those at warp boundaries).  Globally distinct sectors
+    are ``1 + changes`` for a non-decreasing map, an occupancy table over
+    ``[min, max]`` when that range is at most 4x the map length, and a
+    global sort otherwise.  Linear in the map except for the 32-wide
+    row sorts of unordered maps.  Callers that gather several columns
+    through one map analyse it once per element width and pass the
+    stats on (``gather(..., stats=)``).
 
 ``sampled``
     A deterministic stride sample of at most :data:`SAMPLE_WARPS` full
@@ -128,32 +136,50 @@ def analyze_indices(indices: np.ndarray, element_bytes: int) -> SectorStats:
 
 def _analyze_exact(indices: np.ndarray, element_bytes: int) -> SectorStats:
     n = int(indices.size)
-    offsets = indices.astype(np.int64, copy=False) * element_bytes
-    sectors = offsets // SECTOR_BYTES
+    requests = -(-n // WARP_SIZE)
+    # Byte offsets, with the final partial warp padded by repeating the
+    # last entry so it adds no spurious distinct sectors or span.
+    offsets = np.empty(requests * WARP_SIZE, dtype=np.int64)
+    np.multiply(indices, element_bytes, out=offsets[:n], dtype=np.int64, casting="unsafe")
+    offsets[n:] = offsets[n - 1]
 
-    # Pad the final partial warp by repeating its last entry so it adds no
-    # spurious distinct sectors or span.
-    pad = (-n) % WARP_SIZE
-    if pad:
-        offsets = np.concatenate([offsets, np.full(pad, offsets[-1])])
-        sectors = np.concatenate([sectors, np.full(pad, sectors[-1])])
+    # Sorted offsets give sorted sectors, and the first and last lane of
+    # each sorted warp give its span.  A non-decreasing map (compared
+    # elementwise, so no subtraction can overflow) is already sorted.
+    monotone = bool(np.all(indices[1:] >= indices[:-1]))
+    warps = offsets.reshape(requests, WARP_SIZE)
+    if not monotone:
+        warps.sort(axis=1)
+    spans = (warps[:, -1] - warps[:, 0] + element_bytes).astype(np.float64)
 
-    warp_offsets = offsets.reshape(-1, WARP_SIZE)
-    warp_sectors = np.sort(sectors.reshape(-1, WARP_SIZE), axis=1)
+    # Distinct sectors per warp = 1 + sector changes inside the warp: all
+    # changes along the flat array minus those across warp boundaries.
+    # Sector ids overwrite the offsets: one map-sized buffer in all.
+    sectors = np.floor_divide(offsets, SECTOR_BYTES, out=offsets)
+    changes = sectors[1:] != sectors[:-1]
+    total_changes = int(np.count_nonzero(changes))
+    boundary_changes = int(np.count_nonzero(changes[WARP_SIZE - 1 :: WARP_SIZE]))
+    sector_touches = requests + total_changes - boundary_changes
 
-    distinct_per_warp = 1 + np.count_nonzero(np.diff(warp_sectors, axis=1), axis=1)
-    spans = (
-        warp_offsets.max(axis=1) - warp_offsets.min(axis=1) + element_bytes
-    ).astype(np.float64)
-
-    # Globally distinct sectors via sort + boundary count — same integer
-    # as np.unique(sectors).size without the hash-based unique pass.
-    flat = np.sort(sectors, kind="quicksort")
-    cold = 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    # Globally distinct ("cold") sectors.
+    if monotone:
+        cold = 1 + total_changes
+    else:
+        lo = int(warps[:, 0].min())
+        hi = int(warps[:, -1].max())
+        if hi - lo < 4 * n:
+            occupied = np.zeros(hi - lo + 1, dtype=bool)
+            sectors -= lo
+            occupied[sectors] = True
+            cold = int(np.count_nonzero(occupied))
+        else:
+            # Sparse map: a sort bounds memory by the map, not its range.
+            sectors.sort(kind="quicksort")
+            cold = 1 + int(np.count_nonzero(sectors[1:] != sectors[:-1]))
 
     return SectorStats(
-        requests=warp_sectors.shape[0],
-        sector_touches=int(distinct_per_warp.sum()),
+        requests=requests,
+        sector_touches=sector_touches,
         cold_sectors=cold,
         mean_warp_span_bytes=float(spans.mean()),
     )

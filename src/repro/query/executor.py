@@ -166,21 +166,23 @@ class SingleDeviceBackend:
 
 class ShardedBackend:
     """Every operator shuffled across a simulated N-device cluster
-    (:mod:`repro.cluster`); the cost is the cluster clock."""
+    (:mod:`repro.cluster`); the cost is the cluster clock.  A
+    *fault_plan*'s transient faults inject on every device and link."""
 
     fuses = False
 
-    def __init__(self, device: DeviceSpec, seed, shards: int, interconnect):
+    def __init__(self, device: DeviceSpec, seed, shards: int, interconnect, fault_plan):
         self.device = device
         self.seed = seed
         self.shards = shards
         self.interconnect = interconnect
+        self.fault_plan = fault_plan
 
     def join(self, node: Join, left: Relation, right: Relation, config: JoinConfig):
         result = sharded_join(
             left, right, algorithm=node.algorithm, device=self.device,
             num_devices=self.shards, interconnect=self.interconnect,
-            config=config, seed=self.seed,
+            config=config, seed=self.seed, fault_plan=self.fault_plan,
         )
         return result.output, operator_trace(
             "Join", result.algorithm, result.total_seconds, result.matches,
@@ -193,6 +195,7 @@ class ShardedBackend:
             keys, values, list(node.aggregates), algorithm=node.algorithm,
             device=self.device, num_devices=self.shards,
             interconnect=self.interconnect, seed=self.seed,
+            fault_plan=self.fault_plan,
         )
         return result.output, operator_trace(
             "Aggregate", result.algorithm, result.total_seconds, result.groups,
@@ -253,8 +256,9 @@ class QueryExecutor:
     degrades the operator to its partitioned/out-of-core variant instead
     of raising, recording ``degraded=`` in the operator trace.  OOM
     pressure (``capacity_frac``) is a single-device mechanism and
-    conflicts with ``shards > 1``; the sharded backend does not forward
-    the plan, so sharded operators run fault-free.
+    conflicts with ``shards > 1``; sharded operators inject the plan's
+    transient faults (kernel retries, device replays, stragglers, link
+    retransmits) and recover to the fault-free output.
 
     ``tiering=`` attaches a :class:`~repro.tier.TieredRuntime`: joins
     over two base-relation scans and aggregates over one base-relation
@@ -319,7 +323,7 @@ class QueryExecutor:
         # caches these intermediates as sub-results.
         self._single = SingleDeviceBackend(device, seed, fault_plan, join_output_hook)
         if shards > 1:
-            self._backend = ShardedBackend(device, seed, shards, interconnect)
+            self._backend = ShardedBackend(device, seed, shards, interconnect, fault_plan)
         elif tiering is not None:
             self._backend = TieredBackend(tiering, self._single)
         else:

@@ -16,6 +16,7 @@ from repro.aggregation import AggSpec
 from repro.errors import JoinConfigError, ShardedExecutionWarning
 from repro.faults import FaultPlan, ResilientGroupByResult, ResilientJoinResult
 from repro.gpusim import A100
+from repro.obs import TraceSession
 from repro.query import Aggregate, Join, Scan, execute
 from repro.workloads import JoinWorkloadSpec, generate_join_workload
 
@@ -48,6 +49,18 @@ class TestExecutorConflicts:
         result = execute(Join(Scan(r), Scan(s)), shards=2, seed=0,
                          fault_plan=PRESSURE.without_capacity())
         assert result.output.num_rows == s.num_rows
+
+    def test_sharded_execute_injects_transient_faults(self, relations):
+        r, s = relations
+        plan = Join(Scan(r), Scan(s))
+        clean = execute(plan, shards=2, seed=0)
+        with TraceSession("sharded-faults") as session:
+            faulty = execute(plan, shards=2, seed=0,
+                             fault_plan=FaultPlan(seed=13, kernel_fault_rate=0.3))
+        assert session.metrics.value("fault_kernel_retries") > 0
+        assert faulty.output.column_names == clean.output.column_names
+        for name in clean.output.column_names:
+            assert np.array_equal(faulty.output.column(name), clean.output.column(name))
 
     def test_sharding_warns_that_fusion_is_disabled(self, agg_plan):
         with pytest.warns(ShardedExecutionWarning, match="fusion"):

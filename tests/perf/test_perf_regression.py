@@ -91,6 +91,27 @@ def test_sector_count_throughput():
     )
 
 
+def test_sector_exact_throughput():
+    """Exact sector accounting sustains the indices/s floor.
+
+    2^18 indices (the default bench scale, below the ``auto`` sampling
+    threshold) in a non-decreasing map, the shape GFTR gathers and NPJ
+    probe-side gathers produce.
+    """
+    rng = np.random.default_rng(3)
+    indices = np.sort(rng.integers(0, 1 << 19, 1 << 18)).astype(np.int32)
+    previous = set_sector_mode("exact")
+    try:
+        seconds = best_seconds(lambda: analyze_indices(indices, 4))
+    finally:
+        set_sector_mode(previous)
+    throughput = indices.size / seconds
+    assert throughput >= floor("sector_exact_indices_per_s"), (
+        f"exact sector analysis at {throughput:.0f} indices/s, "
+        f"floor {floor('sector_exact_indices_per_s'):.0f}"
+    )
+
+
 def test_match_throughput():
     """The dense-key join match sustains the pairs/s floor.
 

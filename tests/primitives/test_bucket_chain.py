@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim import A100, GPUContext
 from repro.primitives.bucket_chain import (
     bucket_chain_partition,
+    chain_order,
     contention_factor,
 )
 from repro.primitives.radix_partition import partition_codes
@@ -58,6 +61,26 @@ class TestNonDeterminism:
         a = _partition(keys, bits=3, seed=7)
         b = _partition(keys, bits=3, seed=7)
         assert np.array_equal(a.keys, b.keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    bits=st.integers(1, 17),
+    equal_draws=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_order_equals_lexsort(n, bits, equal_draws, seed):
+    """The fast within-partition order is exactly lexsort's, also when
+    some tie-breaker draws collide (lexsort then breaks ties by position)."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 1 << bits, n).astype(np.int64)
+    draws = rng.random(n)
+    if n > 1 and equal_draws:
+        draws[rng.integers(0, n, equal_draws)] = draws[rng.integers(n)]
+    assert np.array_equal(
+        chain_order(codes, draws, bits), np.lexsort((draws, codes))
+    )
 
 
 class TestFragmentation:
