@@ -171,10 +171,18 @@ def shuffle_columns(
                 num_devices=n,
                 label=label,
             )
+            # One stable split per source: rows grouped by destination,
+            # source order kept within each bucket.  Small integer codes
+            # take numpy's linear-time radix sort.
+            codes = assignment.astype(np.min_scalar_type(n - 1))
+            order = np.argsort(codes, kind="stable")
+            bounds = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(assignment, minlength=n), out=bounds[1:])
+            grouped = {name: columns[name][order] for name in names}
             row = []
             for dst in range(n):
-                mask = assignment == dst
-                bucket = {name: columns[name][mask] for name in names}
+                lo, hi = bounds[dst], bounds[dst + 1]
+                bucket = {name: grouped[name][lo:hi] for name in names}
                 nbytes = sum(int(a.nbytes) for a in bucket.values())
                 matrix[src, dst] = nbytes
                 row.append(bucket)

@@ -165,3 +165,16 @@ def aggregate_input_columns(node: Aggregate) -> Tuple[str, ...]:
         if spec.op != "count" and spec.column not in needed:
             needed.append(spec.column)
     return tuple(needed)
+
+
+def plan_relations(node: PlanNode) -> List[Relation]:
+    """Every relation the plan scans, in traversal order."""
+    if isinstance(node, Scan):
+        return [node.relation]
+    if isinstance(node, Project):
+        return plan_relations(node.child)
+    if isinstance(node, Join):
+        return plan_relations(node.left) + plan_relations(node.right)
+    if isinstance(node, Aggregate):
+        return plan_relations(node.child)
+    raise TypeError(f"unknown plan node {type(node).__name__}")

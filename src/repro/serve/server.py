@@ -74,7 +74,14 @@ from ..joins.base import JoinConfig
 from ..obs.metrics import MetricsRegistry
 from ..obs.session import TraceSession
 from ..query.executor import QueryExecutor
-from ..query.plan import Join, PlanNode, QueryResult, Scan, validate_plan
+from ..query.plan import (
+    Join,
+    PlanNode,
+    QueryResult,
+    Scan,
+    plan_relations,
+    validate_plan,
+)
 from ..relational.relation import Relation
 from .brownout import LEVEL_NAMES, BrownoutController, BrownoutPolicy
 from .cache import (
@@ -83,7 +90,6 @@ from .cache import (
     ResultCache,
     output_nbytes,
     pin_plan,
-    plan_relations,
     plan_signature,
 )
 from .quota import RetryBudget, TenantQuota, TenantState

@@ -5,9 +5,10 @@ Relations are split into fixed-size column segments
 resident in simulated device memory as real ``DeviceArray`` allocations;
 a cost-based :class:`PlacementPolicy` decides placement from per-segment
 access history and the serving layer's template popularity; and a
-:class:`TieredRuntime` splits join and group-by operators into a GPU
-part over resident segments plus a CPU part over cold ones, merged
-bit-identically to the single-device executor.
+:class:`TieredRuntime` charges join and group-by operators as a GPU
+part over resident segments plus a CPU part over cold ones, and
+computes their rows once with the single-device code, so the output is
+bit-identical to the single-device executor.
 """
 
 from .cache import SegmentCache

@@ -4,20 +4,20 @@ The placement-aware pass splits one logical operator into a GPU
 sub-operator over resident (hot) segments and a CPU sub-operator over
 cold ones, runs the two concurrently (Eiger-style heterogeneous
 overlap: the operator's elapsed time is the max of the two tiers plus
-merge and staging), and merges the partial results **bit-identically**
-to the single-device ``execute()`` path:
+merge and staging).  The split decides where work runs and what it
+costs, never the answer: each operator reads every segment it needs
+from whichever tier holds it, concatenates them in row order and
+computes its rows with the single-device code, so the output is
+bit-identical to ``execute()`` for every placement by construction:
 
-* joins read each probe segment from whichever tier holds it,
-  concatenate them in row order and make one
-  :func:`~repro.joins.matching.match_positions` call — the match every
-  single-device join uses — so the pairs are the global s-major match
-  order of :func:`~repro.relational.validation.join_match_indices`,
-  independent of which segments happen to be resident;
-* group-bys fold exact per-tier partial aggregates (int64 sums/counts,
-  elementwise min/max merge, mean recomputed from merged sums and
-  counts) keyed by group key — identical to the monolithic
-  ``segmented_aggregate`` in the integer-exact regime the library
-  already assumes.
+* joins make one :func:`~repro.joins.matching.match_positions` call
+  over the whole probe side, so the pairs are the global s-major match
+  order of :func:`~repro.relational.validation.join_match_indices`, and
+  build the output through :func:`~repro.joins.base.output_column_names`;
+* group-bys make one :func:`~repro.primitives.grouping.group_identify`
+  call and one :func:`~repro.aggregation.base.segmented_aggregate` call
+  per aggregate; the per-tier group counts the fold and merge kernels
+  are charged for come from that one ``inverse``.
 
 The oracle suite (``tests/oracle/test_tier_oracle.py``) pins both
 properties across hot/cold/mixed placements, eviction mid-query, and
@@ -27,20 +27,25 @@ fault-injected capacity pressure.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..aggregation.base import AggSpec
+from ..aggregation.base import segmented_aggregate
 from ..gpusim.context import GPUContext
 from ..gpusim.device import A100, CPU_SERVER, DeviceSpec
 from ..gpusim.kernel import KernelStats
 from ..gpusim.memory import BufferPool, DeviceMemory
-from ..joins.base import JoinConfig, detect_unique_keys
+from ..joins.base import JoinConfig, detect_unique_keys, output_column_names
 from ..joins.matching import match_positions
 from ..obs.session import TraceSession, current_session
-from ..primitives.grouping import distinct_sorted, group_identify
-from ..query.plan import OperatorTrace, aggregate_input_columns, operator_trace
+from ..primitives.grouping import group_identify
+from ..query.plan import (
+    OperatorTrace,
+    aggregate_input_columns,
+    operator_trace,
+    plan_relations,
+)
 from ..relational.relation import Relation
 from .cache import SegmentCache
 from .costmodel import TierCostModel
@@ -164,7 +169,7 @@ class TieredRuntime:
 
     def note_plan(self, plan, weight: float = 1.0) -> None:
         """Fold one arrival of *plan* into relation popularity (serve feed)."""
-        for relation in _scan_relations(plan):
+        for relation in plan_relations(plan):
             segrel = self.segmented(relation)
             if segrel is not None:
                 self.policy.note_popularity(segrel.name, weight)
@@ -375,15 +380,18 @@ class TieredRuntime:
                     self.cache.record_access(False, nbytes)
         return resident
 
-    def _segment_array(
-        self, segrel: SegmentedRelation, column: str, index: int, hot: bool
+    def _read_column(
+        self, segrel: SegmentedRelation, column: str, hot: Set[int]
     ) -> np.ndarray:
-        """One segment's data — from the device cache when resident."""
-        if hot:
-            data = self.cache.get(segrel.segment_key(column, index))
-            if data is not None:
-                return data
-        return segrel.column_slice(column, index)
+        """One whole column in row order, each segment read from the tier
+        that holds it (the device cache for *hot* indices)."""
+        parts = []
+        for index in range(segrel.num_segments):
+            data = None
+            if index in hot:
+                data = self.cache.get(segrel.segment_key(column, index))
+            parts.append(segrel.column_slice(column, index) if data is None else data)
+        return np.concatenate(parts) if parts else segrel.relation.column(column)
 
     # -- operator prologue / epilogue ----------------------------------------
 
@@ -523,11 +531,7 @@ class TieredRuntime:
         r_keys = left.key_values
         # One match over the whole probe side: the segments concatenate
         # in row order, so the pairs do not depend on the placement.
-        seg_keys = [
-            self._segment_array(segS, right.key, index, index in hot)
-            for index in range(segS.num_segments)
-        ]
-        probe = np.concatenate(seg_keys) if seg_keys else right.key_values
+        probe = self._read_column(segS, right.key, hot)
         r_idx, s_idx = match_positions(r_keys, probe, unique)
         per_segment = np.bincount(
             s_idx // segS.segment_rows, minlength=segS.num_segments
@@ -535,7 +539,12 @@ class TieredRuntime:
         matches = int(r_idx.size)
         hot_matches = sum(int(per_segment[index]) for index in hot)
         cold_matches = matches - hot_matches
-        output = _materialize_join(left, right, r_idx, s_idx, config.output_name)
+        sides = {"r": (left, r_idx), "s": (right, s_idx)}
+        columns = []
+        for side, source, out_name in output_column_names(left, right):
+            relation, rows = sides[side]
+            columns.append((out_name, relation.column(source)[rows]))
+        output = Relation(columns, key="key", name=config.output_name)
 
         out_bytes = output.total_bytes
         hot_out_bytes = int(out_bytes * hot_matches / matches) if matches else 0
@@ -639,49 +648,48 @@ class TieredRuntime:
         a managed base relation *child*: ``(output, OperatorTrace)``, or
         ``None`` when *child* is not under tier management.
 
-        Hot row ranges fold on the GPU, cold ranges on the CPU; the
-        exact partial aggregates merge by group key into output
-        bit-identical to the monolithic path for every placement.
+        Hot row ranges are charged to the GPU, cold ranges to the CPU;
+        the rows themselves fold once, in row order, exactly as the
+        single-device group-bys fold them.
         """
         segrel = self.segmented(child)
         if segrel is None:
             return None
-        group_column = node.group_column
         aggregates = list(node.aggregates)
         needed = list(aggregate_input_columns(node))
         session, placement, fresh = self._begin(
             [(segrel, needed)], session, fault_plan, "group-by"
         )
         hot, hot_rows, cold_rows = self._split(segrel, needed, fresh)
-
-        def tier_arrays(indices: Sequence[int], is_hot: bool):
-            arrays = {}
-            for column in needed:
-                parts = [self._segment_array(segrel, column, i, is_hot) for i in indices]
-                arrays[column] = (
-                    np.concatenate(parts) if parts else child.column(column)[:0]
-                )
-            # The group column stays among the values too: aggregating it
-            # (e.g. ``sum(key) by key``) reads it like any other column.
-            return arrays[group_column], arrays
-
+        # The group column stays among the values too: aggregating it
+        # (e.g. ``sum(key) by key``) reads it like any other column.
+        values = {column: self._read_column(segrel, column, hot) for column in needed}
+        group_keys, inverse = group_identify(values[node.group_column])
+        groups = int(group_keys.size)
+        output: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        output["group_key"] = group_keys
+        for spec in aggregates:
+            data = values[spec.column] if spec.op != "count" else None
+            output[spec.output_name] = segmented_aggregate(
+                inverse, groups, data, spec.op
+            )
+        # What each tier's fold would have produced: the distinct group
+        # codes among its own rows.
+        hot_groups = groups if hot_rows else 0
+        cold_groups = groups if cold_rows else 0
+        if hot_rows and cold_rows:
+            is_hot = np.zeros(segrel.num_segments, dtype=bool)
+            is_hot[list(hot)] = True
+            row_hot = np.repeat(is_hot, segrel.segment_rows)[: segrel.num_rows]
+            hot_groups = _distinct_codes(inverse[row_hot], groups)
+            cold_groups = _distinct_codes(inverse[~row_hot], groups)
         hot_idx = sorted(hot)
         cold_idx = [i for i in range(segrel.num_segments) if i not in hot]
-        hot_partial = cold_partial = None
-        if hot_rows:
-            hot_partial = _partial_aggregate(*tier_arrays(hot_idx, True), aggregates)
-        if cold_rows:
-            cold_partial = _partial_aggregate(*tier_arrays(cold_idx, False), aggregates)
-        merged = _merge_partials(hot_partial, cold_partial, aggregates)
-        output = _finalize_partial(merged, aggregates)
-        groups = int(output["group_key"].size)
         partial_bytes = 8 * (1 + len(aggregates))
-        cold_groups = 0 if cold_partial is None else int(cold_partial["keys"].size)
 
         def charge_tiers(gpu_ctx: GPUContext, cpu_ctx: GPUContext) -> None:
             if hot_rows:
                 hot_bytes = sum(segrel.range_nbytes(needed, i) for i in hot_idx)
-                hot_groups = int(hot_partial["keys"].size)
                 gpu_ctx.submit(
                     KernelStats(
                         name="tier_fold",
@@ -751,153 +759,6 @@ class TieredRuntime:
         )
 
 
-# -- pure helpers ------------------------------------------------------------
-
-
-def _scan_relations(plan) -> List[Relation]:
-    from ..query.plan import Aggregate, Join, Project, Scan
-
-    found: List[Relation] = []
-
-    def walk(node):
-        if isinstance(node, Scan):
-            found.append(node.relation)
-        elif isinstance(node, Project):
-            walk(node.child)
-        elif isinstance(node, Join):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Aggregate):
-            walk(node.child)
-
-    walk(plan)
-    return found
-
-
-def _materialize_join(
-    left: Relation,
-    right: Relation,
-    r_idx: np.ndarray,
-    s_idx: np.ndarray,
-    output_name: str,
-) -> Relation:
-    """Reference-schema join output: key, R payloads, S payloads (_s)."""
-    columns = [("key", left.key_values[r_idx])]
-    for name, array in left.payload_columns().items():
-        columns.append((name, array[r_idx]))
-    taken = {name for name, _ in columns}
-    for name, array in right.payload_columns().items():
-        out_name = name if name not in taken else f"{name}_s"
-        columns.append((out_name, array[s_idx]))
-        taken.add(out_name)
-    return Relation(columns, key="key", name=output_name)
-
-
-def _partial_aggregate(
-    keys: np.ndarray,
-    values: Dict[str, np.ndarray],
-    aggregates: List[AggSpec],
-) -> Dict[str, np.ndarray]:
-    """Exact partial aggregates of one tier's rows, keyed by group key.
-
-    Sums ride the same float64-bincount path as ``segmented_aggregate``
-    (exact for the integer-valued columns the library supports, so the
-    int64 cast is lossless) and are merged as int64 — which is why the
-    merged result is bit-identical to the monolithic fold.
-    """
-    group_keys, inverse = group_identify(keys)
-    n = int(group_keys.size)
-    partial: Dict[str, np.ndarray] = {
-        "keys": group_keys,
-        "counts": np.bincount(inverse, minlength=n).astype(np.int64),
-    }
-    for spec in aggregates:
-        if spec.op == "count":
-            continue
-        data = values[spec.column]
-        if spec.op in ("sum", "mean"):
-            name = f"sum:{spec.column}"
-            if name not in partial:
-                partial[name] = np.bincount(
-                    inverse, weights=data.astype(np.float64), minlength=n
-                ).astype(np.int64)
-        elif spec.op in ("min", "max"):
-            reducer = np.minimum if spec.op == "min" else np.maximum
-            fill = (
-                np.iinfo(np.int64).max
-                if spec.op == "min"
-                else np.iinfo(np.int64).min
-            )
-            out = np.full(n, fill, dtype=np.int64)
-            reducer.at(out, inverse, data.astype(np.int64))
-            partial[f"{spec.op}:{spec.column}"] = out
-    return partial
-
-
-def _merge_partials(
-    a: Optional[Dict[str, np.ndarray]],
-    b: Optional[Dict[str, np.ndarray]],
-    aggregates: List[AggSpec],
-) -> Dict[str, np.ndarray]:
-    """Merge two per-tier partials by group key (either may be None)."""
-    if a is None and b is None:
-        raise ValueError("both tiers empty: nothing to aggregate")
-    if a is None:
-        return b  # type: ignore[return-value]
-    if b is None:
-        return a
-    merged_keys = distinct_sorted(np.concatenate([a["keys"], b["keys"]]))
-    pos_a = np.searchsorted(merged_keys, a["keys"])
-    pos_b = np.searchsorted(merged_keys, b["keys"])
-    n = int(merged_keys.size)
-    merged: Dict[str, np.ndarray] = {"keys": merged_keys}
-
-    def additive(name: str) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        np.add.at(out, pos_a, a[name])
-        np.add.at(out, pos_b, b[name])
-        return out
-
-    merged["counts"] = additive("counts")
-    for spec in aggregates:
-        if spec.op == "count":
-            continue
-        if spec.op in ("sum", "mean"):
-            name = f"sum:{spec.column}"
-            if name not in merged:
-                merged[name] = additive(name)
-        elif spec.op in ("min", "max"):
-            name = f"{spec.op}:{spec.column}"
-            fill = (
-                np.iinfo(np.int64).max
-                if spec.op == "min"
-                else np.iinfo(np.int64).min
-            )
-            side_a = np.full(n, fill, dtype=np.int64)
-            side_a[pos_a] = a[name]
-            side_b = np.full(n, fill, dtype=np.int64)
-            side_b[pos_b] = b[name]
-            reducer = np.minimum if spec.op == "min" else np.maximum
-            merged[name] = reducer(side_a, side_b)
-    return merged
-
-
-def _finalize_partial(
-    partial: Dict[str, np.ndarray], aggregates: List[AggSpec]
-) -> "OrderedDict[str, np.ndarray]":
-    """Partial -> the executor's output schema (same dtypes as plain)."""
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    out["group_key"] = partial["keys"]
-    counts = partial["counts"]
-    for spec in aggregates:
-        if spec.op == "count":
-            out[spec.output_name] = counts
-        elif spec.op == "sum":
-            out[spec.output_name] = partial[f"sum:{spec.column}"]
-        elif spec.op == "mean":
-            out[spec.output_name] = (
-                partial[f"sum:{spec.column}"] / np.maximum(counts, 1)
-            )
-        else:
-            out[spec.output_name] = partial[f"{spec.op}:{spec.column}"]
-    return out
+def _distinct_codes(codes: np.ndarray, groups: int) -> int:
+    """How many of the group codes ``0..groups-1`` occur in *codes*."""
+    return int(np.count_nonzero(np.bincount(codes, minlength=groups)))

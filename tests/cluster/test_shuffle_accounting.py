@@ -130,6 +130,19 @@ class TestShuffleConservation:
             [s["k"] for s in result.shards], [s["v1"] for s in result.shards]
         )
 
+        # Each shard is the per-destination mask of every source, in
+        # (source, local row) order, with the input dtypes.
+        for d, shard in enumerate(result.shards):
+            for name in ("k", "v1", "v2"):
+                expected = np.concatenate(
+                    [
+                        c[name][device_assignments(c["k"], num_devices) == d]
+                        for c in locals_
+                    ]
+                )
+                assert shard[name].dtype == expected.dtype
+                np.testing.assert_array_equal(shard[name], expected)
+
     def test_stability_preserves_global_row_order(self):
         """Within a destination, rows keep (source, local) order."""
         keys = np.array([4, 4, 4, 4, 4, 4], dtype=np.int64)

@@ -96,8 +96,27 @@ def test_join_matches_every_real_algorithm_unordered(relations):
         assert tiered.equals_unordered(other)
 
 
-def test_aggregate_bit_identical_across_placements(relations):
-    _, s = relations
+def aggregate_input(s: Relation, values: str) -> Relation:
+    """The probe relation with its ``spay`` column per *values* case."""
+    if values == "small":
+        return s
+    if values == "2^55":
+        # Sums past 2^53 round in float64, so the answer depends on the
+        # order the rows are folded in, not only on which rows.
+        rng = np.random.default_rng(55)
+        spay = rng.integers(1 << 55, 1 << 56, s.num_rows, dtype=np.int64)
+        return Relation([("key", s.key_values), ("spay", spay)], key="key", name="S")
+    assert values == "empty"
+    return Relation(
+        [("key", s.key_values[:0]), ("spay", s.column("spay")[:0])],
+        key="key",
+        name="S",
+    )
+
+
+@pytest.mark.parametrize("values", ["small", "2^55", "empty"])
+def test_aggregate_bit_identical_across_placements(relations, values):
+    s = aggregate_input(relations[1], values)
     specs = (
         AggSpec("key", "count"),
         AggSpec("spay", "sum"),
